@@ -414,6 +414,45 @@ func BenchmarkRoundHotPath(b *testing.B) {
 	}
 }
 
+// BenchmarkPaperScaleRound is the full protocol round at the paper's own
+// topology (PaperScaleParams: m=20, c=97, λ=40, |C_R|=60, n=2000), the
+// end-to-end measure of every layer at once. One warm round runs before
+// the timer, so ns/op and allocs/op are a steady-state round with engine
+// construction and first-round map growth excluded. ticks/round and
+// msgs/round are deterministic for the fixed seed. A round sends ~6.5M
+// simulated messages, so the cell needs CYCLEDGER_PAPER_SCALE=1 (the CI
+// scale-big job sets it).
+func BenchmarkPaperScaleRound(b *testing.B) {
+	if os.Getenv("CYCLEDGER_PAPER_SCALE") == "" {
+		b.Skip("paper-scale round disabled; set CYCLEDGER_PAPER_SCALE=1 to run")
+	}
+	p := protocol.PaperScaleParams()
+	p.Parallelism = 0
+	e, err := protocol.NewEngine(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := e.RunRound(); err != nil {
+		b.Fatal(err)
+	}
+	var tput int
+	var ticks, msgs float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := e.RunRound()
+		if err != nil {
+			b.Fatal(err)
+		}
+		tput += r.Throughput()
+		ticks += float64(r.Duration)
+		msgs += float64(r.Messages)
+	}
+	b.ReportMetric(float64(tput)/float64(b.N), "tx/round")
+	b.ReportMetric(ticks/float64(b.N), "ticks/round")
+	b.ReportMetric(msgs/float64(b.N), "msgs/round")
+}
+
 // BenchmarkScaleCeiling measures the simulator core at the ROADMAP's
 // scale ceiling: committee-shaped traffic (leader broadcast, member
 // votes, leader→referee results, a sprinkling of timers) on topologies

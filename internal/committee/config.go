@@ -36,6 +36,9 @@ type ConfigNode struct {
 
 	S *Directory
 
+	// keyIDs indexes KeyMembers by node ID for verify's trust-by-ID check.
+	keyIDs map[simnet.NodeID]struct{}
+
 	// introduced tracks which members this node has announced itself to,
 	// so MEM_LIST unions do not trigger duplicate MEMBER messages.
 	introduced map[simnet.NodeID]bool
@@ -52,7 +55,11 @@ func NewConfigNode(round uint64, randomness crypto.Digest, m uint64, self Member
 		IsKey:      isKey,
 		KeyMembers: keyMembers,
 		S:          NewDirectory(),
+		keyIDs:     make(map[simnet.NodeID]struct{}, len(keyMembers)),
 		introduced: make(map[simnet.NodeID]bool),
+	}
+	for _, km := range keyMembers {
+		cn.keyIDs[km.Node] = struct{}{}
 	}
 	if isKey {
 		for _, km := range keyMembers {
@@ -63,17 +70,29 @@ func NewConfigNode(round uint64, randomness crypto.Digest, m uint64, self Member
 	return cn
 }
 
+// vrfVerify is the sortition-proof check behind verify; a variable so
+// tests can count the verifications a node performs.
+var vrfVerify = crypto.VRFVerify
+
 // verify checks a join certificate: the record must carry a valid
 // sortition proof for this committee context. Key-member records (listed
 // in the previous block) are trusted without proof.
+//
+// Each record is verified at most once per node: a record byte-equal to
+// the one S already holds for its node was verified (or trusted) when it
+// went in, and verification is a pure function of the record and the
+// round context, so the stored copy is its own memo. The comparison
+// covers the whole record, so a record that differs from the stored one
+// in any field is verified afresh.
 func (cn *ConfigNode) verify(rec MemberRecord) bool {
-	for _, km := range cn.KeyMembers {
-		if km.Node == rec.Node {
-			return true
-		}
+	if _, ok := cn.keyIDs[rec.Node]; ok {
+		return true
+	}
+	if cn.S.Holds(rec) {
+		return true
 	}
 	out := crypto.VRFOutput{Hash: rec.Hash, Proof: rec.Proof}
-	return crypto.VRFVerify(rec.PK, crypto.SortitionInput(cn.Round, cn.Randomness), out) == nil
+	return vrfVerify(rec.PK, crypto.SortitionInput(cn.Round, cn.Randomness), out) == nil
 }
 
 // Start kicks off participation: a non-key member sends its join request

@@ -5,6 +5,7 @@
 package committee
 
 import (
+	"bytes"
 	"fmt"
 
 	"cycledger/internal/crypto"
@@ -66,6 +67,13 @@ func NewDirectory() *Directory {
 // Add inserts or overwrites a record.
 func (d *Directory) Add(rec MemberRecord) {
 	d.records[rec.Node] = rec
+}
+
+// Holds reports whether the directory stores exactly rec: same node, public
+// key, sortition hash and proof.
+func (d *Directory) Holds(rec MemberRecord) bool {
+	cur, ok := d.records[rec.Node]
+	return ok && cur.Hash == rec.Hash && bytes.Equal(cur.PK, rec.PK) && bytes.Equal(cur.Proof, rec.Proof)
 }
 
 // Merge unions another directory into this one.

@@ -1,6 +1,7 @@
 package consensus
 
 import (
+	"bytes"
 	"fmt"
 
 	"cycledger/internal/crypto"
@@ -115,17 +116,46 @@ func VerifyCert(scheme SignatureScheme, res Result, committee []simnet.NodeID, p
 
 // instance holds per-(round, sn) state on one node.
 type instance struct {
-	propose     *Propose
-	echoDigests map[simnet.NodeID]crypto.Digest
-	echoSigs    map[simnet.NodeID][]byte
+	propose *Propose
+	// echoes holds the first echo recorded from each committee member, by
+	// roster position (allocated with the first echo); outsiders holds
+	// echoes from non-members. tally counts both per digest, so the quorum
+	// check is O(1) per arrival.
+	echoes      []echoVote
+	outsiders   map[simnet.NodeID]echoVote
+	tally       []digestVotes
 	confirmSent bool
 	accepted    bool
 	// leader side
 	confirms map[simnet.NodeID]Confirm
 	decided  bool
-	// equivocation evidence
-	seen        map[crypto.Digest]Propose
+	// equivocation evidence: the distinct leader-signed proposals seen,
+	// in arrival order
+	seen        []Propose
 	equivocated bool
+	// proposals whose leader signature already verified; the echo
+	// retransmissions of one proposal are checked once.
+	verified []signedDigest
+}
+
+// echoVote is one member's recorded echo.
+type echoVote struct {
+	digest crypto.Digest
+	sig    []byte
+	set    bool
+}
+
+// digestVotes counts the recorded echoes for one digest. An honest
+// leader's instance sees one digest, an equivocating leader's two.
+type digestVotes struct {
+	digest crypto.Digest
+	votes  int
+}
+
+// signedDigest is a leader-signed proposal digest for one instance.
+type signedDigest struct {
+	digest crypto.Digest
+	sig    []byte
 }
 
 // Protocol is one node's Algorithm 3 endpoint for a single committee and
@@ -135,7 +165,7 @@ type Protocol struct {
 	Round     uint64
 	Self      simnet.NodeID
 	Leader    simnet.NodeID
-	Committee []simnet.NodeID // all members, including the leader
+	Committee []simnet.NodeID // all members, including the leader; read-only
 	Keys      crypto.KeyPair
 	PKOf      func(simnet.NodeID) crypto.PublicKey
 	Scheme    SignatureScheme
@@ -156,6 +186,7 @@ type Protocol struct {
 	ValidatePayload func(sn uint64, payload any) bool
 
 	insts map[uint64]*instance
+	pos   map[simnet.NodeID]int // Committee positions, built on first echo
 }
 
 func (p *Protocol) inst(sn uint64) *instance {
@@ -164,15 +195,22 @@ func (p *Protocol) inst(sn uint64) *instance {
 	}
 	in := p.insts[sn]
 	if in == nil {
-		in = &instance{
-			echoDigests: make(map[simnet.NodeID]crypto.Digest),
-			echoSigs:    make(map[simnet.NodeID][]byte),
-			confirms:    make(map[simnet.NodeID]Confirm),
-			seen:        make(map[crypto.Digest]Propose),
-		}
+		in = &instance{}
 		p.insts[sn] = in
 	}
 	return in
+}
+
+// position returns id's index in Committee (its first, if listed twice).
+func (p *Protocol) position(id simnet.NodeID) (int, bool) {
+	if p.pos == nil {
+		p.pos = make(map[simnet.NodeID]int, len(p.Committee))
+		for i := len(p.Committee) - 1; i >= 0; i-- {
+			p.pos[p.Committee[i]] = i
+		}
+	}
+	i, ok := p.pos[id]
+	return i, ok
 }
 
 func (p *Protocol) quorum(v int) bool { return 2*v > len(p.Committee) }
@@ -197,26 +235,30 @@ func (p *Protocol) Propose(ctx *simnet.Context, sn uint64, digest crypto.Digest,
 	prop := BuildPropose(p.Scheme, p.Keys, p.Self, p.Round, sn, digest, payload, size)
 	in := p.inst(sn)
 	in.propose = &prop
-	in.seen[digest] = prop
-	for _, id := range p.Committee {
-		if id != p.Self {
-			ctx.Send(id, TagPropose, prop, prop.WireSize())
-		}
-	}
+	in.seen = append(in.seen, prop)
+	p.broadcast(ctx, TagPropose, prop, prop.WireSize())
 	// The leader implicitly echoes and confirms its own proposal.
-	p.recordEcho(ctx, sn, Echo{
-		Round: p.Round, SN: sn, Digest: digest, Echoer: p.Self,
-		Sig:     p.Scheme.Sign(p.Keys, sigMsg(TagEcho, p.Round, sn, digest, int32(p.Self))),
-		Propose: prop,
-	})
+	p.recordEcho(in, p.Self, digest, p.Scheme.Sign(p.Keys, sigMsg(TagEcho, p.Round, sn, digest, int32(p.Self))))
 }
 
 // SendRaw delivers an arbitrary pre-built proposal to a subset of members —
 // the equivocation primitive used by adversarial leaders.
 func (p *Protocol) SendRaw(ctx *simnet.Context, prop Propose, to []simnet.NodeID) {
+	var payload any = prop
+	size := prop.WireSize()
 	for _, id := range to {
 		if id != p.Self {
-			ctx.Send(id, TagPropose, prop, prop.WireSize())
+			ctx.Send(id, TagPropose, payload, size)
+		}
+	}
+}
+
+// broadcast sends msg to every other committee member. The payload is
+// boxed once, not once per destination.
+func (p *Protocol) broadcast(ctx *simnet.Context, tag string, msg any, size int) {
+	for _, id := range p.Committee {
+		if id != p.Self {
+			ctx.Send(id, tag, msg, size)
 		}
 	}
 }
@@ -230,13 +272,13 @@ func (p *Protocol) Handle(ctx *simnet.Context, msg simnet.Message) bool {
 		if !ok {
 			return true
 		}
-		p.onPropose(ctx, prop)
+		p.onPropose(ctx, &prop)
 	case TagEcho:
 		e, ok := msg.Payload.(Echo)
 		if !ok {
 			return true
 		}
-		p.onEcho(ctx, e)
+		p.onEcho(ctx, &e)
 	case TagConfirm:
 		c, ok := msg.Payload.(Confirm)
 		if !ok {
@@ -249,68 +291,81 @@ func (p *Protocol) Handle(ctx *simnet.Context, msg simnet.Message) bool {
 	return true
 }
 
-func (p *Protocol) checkEquivocation(ctx *simnet.Context, sn uint64, prop Propose) bool {
-	in := p.inst(sn)
-	if prior, ok := in.seen[prop.Digest]; ok {
-		_ = prior
-		return in.equivocated
+func (p *Protocol) checkEquivocation(ctx *simnet.Context, in *instance, prop *Propose) bool {
+	for i := range in.seen {
+		if in.seen[i].Digest == prop.Digest {
+			return in.equivocated
+		}
 	}
-	in.seen[prop.Digest] = prop
+	in.seen = append(in.seen, *prop)
 	if len(in.seen) > 1 && !in.equivocated {
-		// Two distinct digests signed by the leader: build the witness.
-		var a, b *Propose
-		for _, pr := range in.seen {
-			pr := pr
-			if a == nil {
-				a = &pr
-			} else if pr.Digest != a.Digest {
-				b = &pr
-				break
-			}
+		// Two distinct digests signed by the leader: the first seen and
+		// this one form the witness.
+		in.equivocated = true
+		if p.OnEquivocation != nil {
+			p.OnEquivocation(ctx, Witness{A: in.seen[0], B: *prop})
 		}
-		if a != nil && b != nil {
-			in.equivocated = true
-			if p.OnEquivocation != nil {
-				p.OnEquivocation(ctx, Witness{A: *a, B: *b})
-			}
-			return true
-		}
+		return true
 	}
 	return in.equivocated
 }
 
-func (p *Protocol) onPropose(ctx *simnet.Context, prop Propose) {
+// leaderSigned reports whether prop carries a valid leader signature for
+// its (round, sn, digest), returning the instance, which it creates only
+// for a valid proposal. A (digest, sig) pair that verified once for the
+// instance is not verified again: the check is a pure function of the
+// pair, and every echo retransmits the proposal it endorses.
+func (p *Protocol) leaderSigned(prop *Propose) (*instance, bool) {
+	in := p.insts[prop.SN]
+	if in != nil {
+		for _, v := range in.verified {
+			if v.digest == prop.Digest && bytes.Equal(v.sig, prop.Sig) {
+				return in, true
+			}
+		}
+	}
+	if p.Scheme.Verify(p.PKOf(p.Leader), prop.Sig, sigMsg(TagPropose, prop.Round, prop.SN, prop.Digest, -1)) != nil {
+		return nil, false
+	}
+	if in == nil {
+		in = p.inst(prop.SN)
+	}
+	in.verified = append(in.verified, signedDigest{prop.Digest, prop.Sig})
+	return in, true
+}
+
+func (p *Protocol) onPropose(ctx *simnet.Context, prop *Propose) {
 	if prop.Round != p.Round || prop.Leader != p.Leader {
 		return
 	}
-	if p.Scheme.Verify(p.PKOf(p.Leader), prop.Sig, sigMsg(TagPropose, prop.Round, prop.SN, prop.Digest, -1)) != nil {
+	in, ok := p.leaderSigned(prop)
+	if !ok {
 		return
 	}
-	if p.checkEquivocation(ctx, prop.SN, prop) {
+	if p.checkEquivocation(ctx, in, prop) {
 		return // stop participating once the leader is caught
 	}
 	if p.ValidatePayload != nil && !p.ValidatePayload(prop.SN, prop.Payload) {
 		return
 	}
-	in := p.inst(prop.SN)
 	if in.propose != nil {
 		return // duplicate
 	}
-	in.propose = &prop
-	// ECHO to the whole committee, retransmitting the proposal.
-	echoSig := p.Scheme.Sign(p.Keys, sigMsg(TagEcho, prop.Round, prop.SN, prop.Digest, int32(p.Self)))
-	echo := Echo{Round: prop.Round, SN: prop.SN, Digest: prop.Digest, Echoer: p.Self, Sig: echoSig, Propose: prop}
-	size := echo.WireSize()
-	for _, id := range p.Committee {
-		if id != p.Self {
-			ctx.Send(id, TagEcho, echo, size)
-		}
-	}
-	p.recordEcho(ctx, prop.SN, echo)
-	p.maybeConfirm(ctx, prop.SN)
+	p.adopt(ctx, in, prop)
+	p.maybeConfirm(ctx, in, prop.SN)
 }
 
-func (p *Protocol) onEcho(ctx *simnet.Context, e Echo) {
+// adopt takes prop as the instance's proposal and echoes it to the whole
+// committee, retransmitting the proposal.
+func (p *Protocol) adopt(ctx *simnet.Context, in *instance, prop *Propose) {
+	in.propose = prop
+	echoSig := p.Scheme.Sign(p.Keys, sigMsg(TagEcho, prop.Round, prop.SN, prop.Digest, int32(p.Self)))
+	echo := Echo{Round: prop.Round, SN: prop.SN, Digest: prop.Digest, Echoer: p.Self, Sig: echoSig, Propose: *prop}
+	p.broadcast(ctx, TagEcho, echo, echo.WireSize())
+	p.recordEcho(in, p.Self, prop.Digest, echoSig)
+}
+
+func (p *Protocol) onEcho(ctx *simnet.Context, e *Echo) {
 	if e.Round != p.Round {
 		return
 	}
@@ -319,60 +374,85 @@ func (p *Protocol) onEcho(ctx *simnet.Context, e Echo) {
 	}
 	// Adopt/inspect the retransmitted proposal: it is leader-signed, so it
 	// both substitutes for a missed PROPOSE and feeds equivocation checks.
-	pmsg := sigMsg(TagPropose, e.Propose.Round, e.Propose.SN, e.Propose.Digest, -1)
-	if e.Propose.Round == p.Round && e.Propose.SN == e.SN &&
-		p.Scheme.Verify(p.PKOf(p.Leader), e.Propose.Sig, pmsg) == nil {
-		if p.checkEquivocation(ctx, e.SN, e.Propose) {
-			return
-		}
-		if p.ValidatePayload != nil && !p.ValidatePayload(e.SN, e.Propose.Payload) {
-			return
-		}
-		in := p.inst(e.SN)
-		if in.propose == nil && p.Self != p.Leader {
-			prop := e.Propose
-			in.propose = &prop
-			// Echo ourselves now that we hold the proposal.
-			echoSig := p.Scheme.Sign(p.Keys, sigMsg(TagEcho, prop.Round, prop.SN, prop.Digest, int32(p.Self)))
-			mine := Echo{Round: prop.Round, SN: prop.SN, Digest: prop.Digest, Echoer: p.Self, Sig: echoSig, Propose: prop}
-			size := mine.WireSize()
-			for _, id := range p.Committee {
-				if id != p.Self {
-					ctx.Send(id, TagEcho, mine, size)
-				}
+	if e.Propose.Round == p.Round && e.Propose.SN == e.SN {
+		if in, ok := p.leaderSigned(&e.Propose); ok {
+			if p.checkEquivocation(ctx, in, &e.Propose) {
+				return
 			}
-			p.recordEcho(ctx, prop.SN, mine)
+			if p.ValidatePayload != nil && !p.ValidatePayload(e.SN, e.Propose.Payload) {
+				return
+			}
+			if in.propose == nil && p.Self != p.Leader {
+				// Echo ourselves now that we hold the proposal.
+				prop := e.Propose
+				p.adopt(ctx, in, &prop)
+			}
 		}
 	}
-	p.recordEcho(ctx, e.SN, e)
-	p.maybeConfirm(ctx, e.SN)
+	in := p.inst(e.SN)
+	p.recordEcho(in, e.Echoer, e.Digest, e.Sig)
+	p.maybeConfirm(ctx, in, e.SN)
 }
 
-func (p *Protocol) recordEcho(ctx *simnet.Context, sn uint64, e Echo) {
-	in := p.inst(sn)
-	if _, dup := in.echoDigests[e.Echoer]; dup {
-		return
+// recordEcho records the first echo from each echoer and counts it
+// toward its digest's tally.
+func (p *Protocol) recordEcho(in *instance, echoer simnet.NodeID, digest crypto.Digest, sig []byte) {
+	vote := echoVote{digest, sig, true}
+	if i, ok := p.position(echoer); ok {
+		if in.echoes == nil {
+			in.echoes = make([]echoVote, len(p.Committee))
+		}
+		if in.echoes[i].set {
+			return
+		}
+		in.echoes[i] = vote
+	} else {
+		if _, dup := in.outsiders[echoer]; dup {
+			return
+		}
+		if in.outsiders == nil {
+			in.outsiders = make(map[simnet.NodeID]echoVote)
+		}
+		in.outsiders[echoer] = vote
 	}
-	in.echoDigests[e.Echoer] = e.Digest
-	in.echoSigs[e.Echoer] = e.Sig
+	for i := range in.tally {
+		if in.tally[i].digest == digest {
+			in.tally[i].votes++
+			return
+		}
+	}
+	in.tally = append(in.tally, digestVotes{digest, 1})
 }
 
-func (p *Protocol) maybeConfirm(ctx *simnet.Context, sn uint64) {
-	in := p.inst(sn)
+// votes returns the recorded echo count for d.
+func (in *instance) votes(d crypto.Digest) int {
+	for _, t := range in.tally {
+		if t.digest == d {
+			return t.votes
+		}
+	}
+	return 0
+}
+
+func (p *Protocol) maybeConfirm(ctx *simnet.Context, in *instance, sn uint64) {
 	if in.confirmSent || in.propose == nil || in.equivocated {
 		return
 	}
 	d := in.propose.Digest
-	votes := 0
-	echoSigs := make(map[simnet.NodeID][]byte)
-	for id, dig := range in.echoDigests {
-		if dig == d {
-			votes++
-			echoSigs[id] = in.echoSigs[id]
-		}
-	}
+	votes := in.votes(d)
 	if !p.quorum(votes) {
 		return
+	}
+	echoSigs := make(map[simnet.NodeID][]byte, votes)
+	for i, v := range in.echoes {
+		if v.set && v.digest == d {
+			echoSigs[p.Committee[i]] = v.sig
+		}
+	}
+	for id, v := range in.outsiders {
+		if v.digest == d {
+			echoSigs[id] = v.sig
+		}
 	}
 	in.confirmSent = true
 	in.accepted = true
@@ -401,6 +481,9 @@ func (p *Protocol) onConfirm(ctx *simnet.Context, c Confirm) {
 	}
 	if _, dup := in.confirms[c.Confirmer]; dup {
 		return
+	}
+	if in.confirms == nil {
+		in.confirms = make(map[simnet.NodeID]Confirm)
 	}
 	in.confirms[c.Confirmer] = c
 	if !p.quorum(len(in.confirms)) {

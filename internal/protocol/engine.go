@@ -478,15 +478,19 @@ func (e *Engine) propagateBlock(ctx *simnet.Context, refID simnet.NodeID, blk *B
 // strconv appends (this runs per phase per round and feeds map keys, so it
 // should not drag fmt's reflection into the hot diagnostic path).
 func (e *Engine) phaseLabel(phase string) string {
+	return roundPhaseLabel(e.round, phase)
+}
+
+func roundPhaseLabel(round uint64, phase string) string {
 	buf := make([]byte, 1, 22+len(phase)) // 'r' + up to 20 digits + '/'
 	buf[0] = 'r'
-	if e.round < 100 { // zero-pad to three digits, like %03d
+	if round < 100 { // zero-pad to three digits, like %03d
 		buf = append(buf, '0')
-		if e.round < 10 {
+		if round < 10 {
 			buf = append(buf, '0')
 		}
 	}
-	buf = strconv.AppendUint(buf, e.round, 10)
+	buf = strconv.AppendUint(buf, round, 10)
 	buf = append(buf, '/')
 	buf = append(buf, phase...)
 	return string(buf)
@@ -563,7 +567,11 @@ func (e *Engine) RunRound() (*RoundReport, error) {
 	return report, nil
 }
 
-// collectTraffic aggregates the per-phase, per-role counters for Table II.
+// collectTraffic aggregates the per-phase, per-role counters for Table II,
+// then forgets the previous round's counters: retention is bounded to the
+// last completed round, which stays readable under its "r%03d/" labels.
+// Every stage of round r, pipelined or not, runs inside RunRound(r), so
+// no traffic is ever recorded under round r−1's labels after this point.
 func (e *Engine) collectTraffic(report *RoundReport) {
 	phases := []string{"config", "semicommit", "intra", "inter", "score", "select", "block"}
 	roleSets := map[string][]simnet.NodeID{
@@ -600,6 +608,7 @@ func (e *Engine) collectTraffic(report *RoundReport) {
 			report.PhaseDropped[ph] = m.DroppedByNodes(label, allIDs)
 		}
 	}
+	m.Forget(roundPhaseLabel(e.round-1, ""))
 }
 
 // sortedCommitteeIDs is a small helper for deterministic iteration.

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -423,6 +424,30 @@ func (m *Metrics) Total() Counter {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.total
+}
+
+// Forget deletes every sent, received and dropped counter whose phase
+// label starts with prefix. Per-tag and whole-simulation totals are kept.
+// Long runs use it to bound retention: a caller that labels phases per
+// round forgets each round once it has read it.
+func (m *Metrics) Forget(prefix string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, counters := range []map[phaseNode]*Counter{m.sent, m.received, m.dropped} {
+		for k := range counters {
+			if strings.HasPrefix(k.phase, prefix) {
+				delete(counters, k)
+			}
+		}
+	}
+}
+
+// Counters returns the number of (phase, node) counters held across the
+// sent, received and dropped maps — the accounting's retained size.
+func (m *Metrics) Counters() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.sent) + len(m.received) + len(m.dropped)
 }
 
 // Phases lists phase labels that saw traffic, sorted. A phase counts as

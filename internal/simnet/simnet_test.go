@@ -229,6 +229,39 @@ func TestMetricsAccounting(t *testing.T) {
 	}
 }
 
+func TestMetricsForget(t *testing.T) {
+	n := New(DefaultLatency(), 9)
+	n.Register(2, func(ctx *Context, msg Message) {})
+	n.Register(3, func(ctx *Context, msg Message) {})
+	n.SetDown(3, true)
+	m := n.Metrics()
+	for _, ph := range []string{"phase-a", "phase-b"} {
+		m.SetPhase(ph)
+		n.Send(1, 2, "X", nil, 10)
+		n.Send(1, 3, "X", nil, 10) // crashed destination: dropped
+		n.RunUntilIdle()
+	}
+	if got := m.Counters(); got != 6 {
+		t.Fatalf("%d counters before Forget, want 6 (sent, received, dropped × 2 phases)", got)
+	}
+	m.Forget("phase-a")
+	if got := m.Counters(); got != 3 {
+		t.Fatalf("%d counters after Forget, want 3", got)
+	}
+	if c := m.Sent("phase-a", 1); c.Messages != 0 {
+		t.Fatalf("forgotten phase still reads %+v", c)
+	}
+	if c := m.Sent("phase-b", 1); c.Messages != 2 {
+		t.Fatalf("kept phase reads %+v", c)
+	}
+	if ph := m.Phases(); len(ph) != 1 || ph[0] != "phase-b" {
+		t.Fatalf("phases = %v", ph)
+	}
+	if tot := m.Total(); tot.Messages != 4 {
+		t.Fatalf("whole-run total changed by Forget: %+v", tot)
+	}
+}
+
 func TestTrafficByNodes(t *testing.T) {
 	n := New(DefaultLatency(), 10)
 	n.Register(2, func(ctx *Context, msg Message) {})

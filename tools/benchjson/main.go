@@ -51,7 +51,7 @@ import (
 )
 
 func main() {
-	bench := flag.String("bench", "BenchmarkRoundHotPath$|BenchmarkPipelinedThroughput|BenchmarkScaleCeiling", "benchmark regex passed to go test -bench")
+	bench := flag.String("bench", "BenchmarkRoundHotPath$|BenchmarkPipelinedThroughput|BenchmarkScaleCeiling|BenchmarkPaperScaleRound", "benchmark regex passed to go test -bench")
 	pkg := flag.String("pkg", ".", "package pattern holding the benchmarks")
 	// The default matches the committed BENCH_round.json: simulation
 	// metrics (tx/round, ticks/round) only compare across equal -benchtime
