@@ -18,9 +18,9 @@ import (
 // is expected to fall) and hands it to a budgeted planner. The planner
 // compiles its decisions into the simnet.Adaptive plan: pure crash/mute
 // windows and directed cuts that the existing Fate/Down machinery
-// executes, so every determinism invariant of the fault layer (Fate once
-// per message, Down pure over (now, node), par-1 ≡ par-N) survives
-// untouched. Re-planning happens on the engine's round-driving goroutine
+// executes, so every determinism invariant of the fault layer (Fate pure
+// over the message and its key, Down pure over (now, node), par-1 ≡
+// par-N) survives untouched. Re-planning happens on the engine's round-driving goroutine
 // while the network is idle, and only ever schedules windows at or after
 // the current tick, so in-flight evaluation never observes a plan change.
 

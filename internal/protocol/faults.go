@@ -42,8 +42,8 @@ type FaultsConfig struct {
 	// those nodes receive but never send, their outbound traffic charged
 	// sent + dropped and never received.
 	Gray *GraySpec `json:"gray"`
-	// Burst, when non-nil and active, injects Gilbert-Elliott two-state
-	// loss: drops arrive in time-correlated bursts instead of iid.
+	// Burst, when non-nil and active, injects keyed two-state loss: drops
+	// arrive in time-correlated per-link bursts instead of iid.
 	Burst *BurstLossSpec `json:"burst"`
 	// Adaptive, when non-nil with Budget > 0, arms the reactive adversary:
 	// a planner that watches each round's roster and re-targets its fault
@@ -85,17 +85,23 @@ type GraySpec struct {
 	Frac float64 `json:"frac"`
 }
 
-// BurstLossSpec is Gilbert-Elliott two-state loss: per consulted message
-// the channel enters the bad state with probability PEnter, leaves it
-// with probability PExit, and drops messages with probability Loss while
-// bad. Active when PEnter > 0 and Loss > 0 (PExit must then be positive,
-// or the "burst" would be a permanent outage).
+// BurstLossSpec is keyed two-state loss. Each link's timeline is cut into
+// windows of ⌈1/PExit⌉ ticks — the bad state's mean sojourn — and each
+// window is bad with probability π = PEnter/(PEnter+PExit), the
+// stationary bad share of a Gilbert-Elliott chain with these transition
+// rates. Inside a bad window each message is dropped with probability
+// Loss, by a hash of its scheduling key; good windows lose nothing. The
+// long-run loss rate is π·Loss and drops cluster in time on each link.
+// Active when PEnter > 0 and Loss > 0 (PExit must then be positive, or
+// the "burst" would be a permanent outage).
 type BurstLossSpec struct {
-	// PEnter is the good→bad transition probability per message.
+	// PEnter is the good→bad transition rate: with PExit it sets the
+	// share of bad windows, π = PEnter/(PEnter+PExit).
 	PEnter float64 `json:"p_enter"`
-	// PExit is the bad→good transition probability per message.
+	// PExit is the bad→good transition rate: bad windows last ⌈1/PExit⌉
+	// ticks.
 	PExit float64 `json:"p_exit"`
-	// Loss is the drop probability while the channel is bad.
+	// Loss is the drop probability inside a bad window.
 	Loss float64 `json:"loss"`
 }
 
@@ -451,7 +457,7 @@ type periodicChurn struct {
 }
 
 // Fate implements simnet.Faults: churn loses no in-flight traffic itself.
-func (c *periodicChurn) Fate(simnet.Time, simnet.NodeID, simnet.NodeID) simnet.Fate {
+func (c *periodicChurn) Fate(simnet.Time, simnet.NodeID, simnet.NodeID, uint64, uint32) simnet.Fate {
 	return simnet.Fate{}
 }
 

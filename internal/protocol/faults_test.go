@@ -232,7 +232,7 @@ func newPhaseCrash(victim simnet.NodeID) *phaseCrash {
 	return pc
 }
 
-func (p *phaseCrash) Fate(simnet.Time, simnet.NodeID, simnet.NodeID) simnet.Fate {
+func (p *phaseCrash) Fate(simnet.Time, simnet.NodeID, simnet.NodeID, uint64, uint32) simnet.Fate {
 	return simnet.Fate{}
 }
 
@@ -409,7 +409,7 @@ func (s *selectBlackout) setPhase(ph string) {
 	}
 }
 
-func (s *selectBlackout) Fate(simnet.Time, simnet.NodeID, simnet.NodeID) simnet.Fate {
+func (s *selectBlackout) Fate(simnet.Time, simnet.NodeID, simnet.NodeID, uint64, uint32) simnet.Fate {
 	return simnet.Fate{}
 }
 

@@ -101,7 +101,7 @@ func inWindow(ws []Window, now Time) bool {
 
 // Fate implements Faults: drop sends from muted nodes and sends crossing
 // an active directed cut.
-func (a *Adaptive) Fate(now Time, from, to NodeID) Fate {
+func (a *Adaptive) Fate(now Time, from, to NodeID, _ uint64, _ uint32) Fate {
 	if inWindow(a.mute[from], now) {
 		return Fate{Drop: true}
 	}

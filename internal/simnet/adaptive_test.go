@@ -17,19 +17,19 @@ func TestAdaptiveCrashMuteCutSemantics(t *testing.T) {
 	if a.Down(15, 2) {
 		t.Fatal("muted node reported crashed")
 	}
-	if !a.Fate(15, 2, 1).Drop || a.Fate(55, 2, 1).Drop {
+	if !a.Fate(15, 2, 1, 0, 0).Drop || a.Fate(55, 2, 1, 0, 0).Drop {
 		t.Fatal("mute window [0,50) wrong")
 	}
-	if a.Fate(15, 1, 2).Drop {
+	if a.Fate(15, 1, 2, 0, 0).Drop {
 		t.Fatal("messages TO a muted node must deliver")
 	}
-	if !a.Fate(40, 3, 4).Drop || !a.Fate(40, 3, 5).Drop {
+	if !a.Fate(40, 3, 4, 0, 0).Drop || !a.Fate(40, 3, 5, 0, 0).Drop {
 		t.Fatal("cut 3→{4,5} did not drop inside its window")
 	}
-	if a.Fate(40, 4, 3).Drop || a.Fate(40, 3, 6).Drop {
+	if a.Fate(40, 4, 3, 0, 0).Drop || a.Fate(40, 3, 6, 0, 0).Drop {
 		t.Fatal("cut dropped a direction or destination outside its rule")
 	}
-	if a.Fate(29, 3, 4).Drop || a.Fate(60, 3, 4).Drop {
+	if a.Fate(29, 3, 4, 0, 0).Drop || a.Fate(60, 3, 4, 0, 0).Drop {
 		t.Fatal("cut active outside [30,60)")
 	}
 }
@@ -39,7 +39,7 @@ func TestAdaptiveCloseOpenRetiresDirectives(t *testing.T) {
 	a.Crash(1, 10, 0) // open-ended
 	a.Mute(2, 10, 0)
 	a.Cut(3, []NodeID{4}, 10, 0)
-	if !a.Down(1000, 1) || !a.Fate(1000, 2, 0).Drop || !a.Fate(1000, 3, 4).Drop {
+	if !a.Down(1000, 1) || !a.Fate(1000, 2, 0, 0, 0).Drop || !a.Fate(1000, 3, 4, 0, 0).Drop {
 		t.Fatal("open-ended directives inactive")
 	}
 	a.CloseOpen(100)
@@ -48,7 +48,7 @@ func TestAdaptiveCloseOpenRetiresDirectives(t *testing.T) {
 	if !a.Down(99, 1) || a.Down(100, 1) {
 		t.Fatal("CloseOpen did not end the crash window at the boundary")
 	}
-	if a.Fate(100, 2, 0).Drop || a.Fate(100, 3, 4).Drop {
+	if a.Fate(100, 2, 0, 0, 0).Drop || a.Fate(100, 3, 4, 0, 0).Drop {
 		t.Fatal("CloseOpen did not retire mute/cut directives")
 	}
 	// A closed window stays closed; new directives append cleanly.
@@ -60,7 +60,7 @@ func TestAdaptiveCloseOpenRetiresDirectives(t *testing.T) {
 
 func TestAdaptiveEmptyPlanIsNoFaults(t *testing.T) {
 	a := NewAdaptive()
-	if a.Down(5, 1) || a.Fate(5, 0, 1).Drop || a.Fate(5, 0, 1).Delay != 0 {
+	if a.Down(5, 1) || a.Fate(5, 0, 1, 0, 0).Drop || a.Fate(5, 0, 1, 0, 0).Delay != 0 {
 		t.Fatal("empty adaptive plan injected a fault")
 	}
 }

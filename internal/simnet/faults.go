@@ -1,7 +1,7 @@
 package simnet
 
 import (
-	"math/rand"
+	"math"
 	"sort"
 )
 
@@ -21,21 +21,39 @@ type Fate struct {
 // nil Faults (or NoFaults): the engine then behaves byte-identically to a
 // fault-free network.
 //
-// Determinism contract:
-//
-//   - Fate is consulted exactly once per transmitted message, always from
-//     the single goroutine that applies send effects, in deterministic
-//     order — implementations may therefore consume their own seeded RNG.
-//   - Down must be a pure function of (now, node): it is evaluated during
-//     (possibly parallel) event execution and re-evaluated freely, so it
-//     must not mutate state or draw randomness.
+// Determinism contract: Fate and Down are pure. Fate is a function of
+// (now, from, to) and the message's scheduling key (ks, kc) — the same
+// key DrawKeyed hashes for the link delay — and Down of (now, node). Both
+// are evaluated on the (possibly parallel) worker lanes, in no particular
+// order and possibly more than once, so neither may mutate state or
+// consume a sequential RNG; randomised models hash the key instead.
 type Faults interface {
-	// Fate decides what happens to a message sent now from→to.
-	Fate(now Time, from, to NodeID) Fate
+	// Fate decides what happens to the message sent now from→to under
+	// scheduling key (ks, kc).
+	Fate(now Time, from, to NodeID, ks uint64, kc uint32) Fate
 	// Down reports whether the node is crashed at virtual time now.
 	// Crashed nodes transmit nothing, receive nothing, and their timers
 	// do not fire; a node whose Down turns false again has rejoined.
 	Down(now Time, node NodeID) bool
+}
+
+// keyedUnit maps (seed, ks, kc) to a uniform float in [0, 1) with the
+// hash DrawKeyed uses, so keyed fault draws need no RNG state.
+func keyedUnit(seed, ks uint64, kc uint32) float64 {
+	return unit(keyedHash(seed, ks, kc))
+}
+
+// unit maps a 64-bit hash to a uniform float in [0, 1).
+func unit(x uint64) float64 { return float64(x>>11) * 0x1p-53 }
+
+func clamp01(p float64) float64 {
+	if p < 0 {
+		return 0
+	}
+	if p > 1 {
+		return 1
+	}
+	return p
 }
 
 // NoFaults is the explicit fault-free model: every message is delivered
@@ -44,34 +62,29 @@ type Faults interface {
 type NoFaults struct{}
 
 // Fate implements Faults: always deliver.
-func (NoFaults) Fate(Time, NodeID, NodeID) Fate { return Fate{} }
+func (NoFaults) Fate(Time, NodeID, NodeID, uint64, uint32) Fate { return Fate{} }
 
 // Down implements Faults: never crashed.
 func (NoFaults) Down(Time, NodeID) bool { return false }
 
-// Loss drops each message independently with probability p, from a
-// seeded RNG separate from the latency RNG (fault draws never perturb the
-// link-delay stream of the surviving messages). Construct with NewLoss.
+// Loss drops each message independently with probability p. The draw is
+// a keyed hash of the message's scheduling key under the model's own seed,
+// separate from the latency seed (fault draws never perturb the link
+// delays of the surviving messages). Construct with NewLoss.
 type Loss struct {
-	p   float64
-	rng *rand.Rand
+	p    float64
+	seed uint64
 }
 
 // NewLoss returns an iid message-loss model with drop probability p
-// (clamped to [0, 1]) and its own deterministic RNG.
+// (clamped to [0, 1]) under its own seed.
 func NewLoss(p float64, seed int64) *Loss {
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	return &Loss{p: p, rng: rand.New(rand.NewSource(seed))}
+	return &Loss{p: clamp01(p), seed: uint64(seed)}
 }
 
 // Fate implements Faults.
-func (l *Loss) Fate(Time, NodeID, NodeID) Fate {
-	return Fate{Drop: l.p > 0 && l.rng.Float64() < l.p}
+func (l *Loss) Fate(_ Time, _, _ NodeID, ks uint64, kc uint32) Fate {
+	return Fate{Drop: l.p > 0 && keyedUnit(l.seed, ks, kc) < l.p}
 }
 
 // Down implements Faults.
@@ -83,24 +96,19 @@ func (l *Loss) Down(Time, NodeID) bool { return false }
 type Lag struct {
 	frac  float64
 	extra Time
-	rng   *rand.Rand
+	seed  uint64
 }
 
 // NewLag returns a model that holds each message with probability frac
-// for extra ticks beyond the drawn link delay.
+// for extra ticks beyond the drawn link delay, drawn from the message's
+// scheduling key under the model's own seed.
 func NewLag(frac float64, extra Time, seed int64) *Lag {
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	return &Lag{frac: frac, extra: extra, rng: rand.New(rand.NewSource(seed))}
+	return &Lag{frac: clamp01(frac), extra: extra, seed: uint64(seed)}
 }
 
 // Fate implements Faults.
-func (l *Lag) Fate(Time, NodeID, NodeID) Fate {
-	if l.frac > 0 && l.extra > 0 && l.rng.Float64() < l.frac {
+func (l *Lag) Fate(_ Time, _, _ NodeID, ks uint64, kc uint32) Fate {
+	if l.frac > 0 && l.extra > 0 && keyedUnit(l.seed, ks, kc) < l.frac {
 		return Fate{Delay: l.extra}
 	}
 	return Fate{}
@@ -144,7 +152,7 @@ func NewPartitionAt(groups [][]NodeID, startAt, healAt Time) *Partition {
 
 // Fate implements Faults: messages crossing the cut are dropped until the
 // heal tick.
-func (p *Partition) Fate(now Time, from, to NodeID) Fate {
+func (p *Partition) Fate(now Time, from, to NodeID, _ uint64, _ uint32) Fate {
 	if now < p.startAt {
 		return Fate{}
 	}
@@ -193,7 +201,7 @@ func NewChurn(windows map[NodeID][]Window) *Churn {
 
 // Fate implements Faults: churn loses no in-flight messages by itself
 // (crashed endpoints are handled by Down).
-func (c *Churn) Fate(Time, NodeID, NodeID) Fate { return Fate{} }
+func (c *Churn) Fate(Time, NodeID, NodeID, uint64, uint32) Fate { return Fate{} }
 
 // Down implements Faults.
 func (c *Churn) Down(now Time, node NodeID) bool {
@@ -240,7 +248,7 @@ func NewOneWayPartition(src, dst []NodeID, startAt, healAt Time) *OneWayPartitio
 }
 
 // Fate implements Faults.
-func (p *OneWayPartition) Fate(now Time, from, to NodeID) Fate {
+func (p *OneWayPartition) Fate(now Time, from, to NodeID, _ uint64, _ uint32) Fate {
 	if now < p.startAt || (p.healAt > 0 && now >= p.healAt) {
 		return Fate{}
 	}
@@ -277,7 +285,7 @@ func NewGrayFailure(nodes []NodeID) *GrayFailure {
 }
 
 // Fate implements Faults: sends from gray nodes are dropped.
-func (g *GrayFailure) Fate(now Time, from, to NodeID) Fate {
+func (g *GrayFailure) Fate(_ Time, from, _ NodeID, _ uint64, _ uint32) Fate {
 	_, isGray := g.gray[from]
 	return Fate{Drop: isGray}
 }
@@ -286,53 +294,50 @@ func (g *GrayFailure) Fate(now Time, from, to NodeID) Fate {
 // receive and their timers fire.
 func (g *GrayFailure) Down(Time, NodeID) bool { return false }
 
-// BurstLoss is Gilbert-Elliott two-state loss: the channel alternates
-// between a good state (no loss) and a bad state (loss with probability
-// lossBad), transitioning per consulted message with probabilities pEnter
-// (good→bad) and pExit (bad→good). Because Fate is consulted once per
-// message in deterministic order, the chain advances deterministically
-// and drops arrive in time-correlated bursts rather than iid — the loss
-// pattern of interference or a flapping route. Construct with
-// NewBurstLoss.
+// BurstLoss is keyed two-state (Gilbert-Elliott style) loss. Each link's
+// timeline is cut into windows of ⌈1/pExit⌉ ticks — the bad state's mean
+// sojourn — and each window is bad with probability π = pEnter/(pEnter +
+// pExit), the chain's stationary bad share, by a hash of (seed, from, to,
+// window). Inside a bad window a keyed draw on the message's scheduling
+// key drops it with probability lossBad; good windows lose nothing. The
+// long-run loss rate is π·lossBad, and drops on a link arrive in
+// time-correlated bursts rather than iid — the loss pattern of
+// interference or a flapping route — while Fate stays a pure function.
+// Construct with NewBurstLoss.
 type BurstLoss struct {
-	pEnter  float64
-	pExit   float64
+	window  Time    // window length in ticks, ⌈1/pExit⌉
+	pBad    float64 // π: probability that a window is bad
 	lossBad float64
-	bad     bool
-	rng     *rand.Rand
+	seed    uint64
 }
 
-// NewBurstLoss returns a Gilbert-Elliott loss model with its own
-// deterministic RNG. Probabilities are clamped to [0, 1].
+// NewBurstLoss returns a keyed burst-loss model under its own seed.
+// Probabilities are clamped to [0, 1]; pExit = 0 makes every window bad
+// (a permanent outage at rate lossBad) once pEnter > 0.
 func NewBurstLoss(pEnter, pExit, lossBad float64, seed int64) *BurstLoss {
-	clamp := func(p float64) float64 {
-		if p < 0 {
-			return 0
-		}
-		if p > 1 {
-			return 1
-		}
-		return p
+	pEnter, pExit = clamp01(pEnter), clamp01(pExit)
+	b := &BurstLoss{window: 1, lossBad: clamp01(lossBad), seed: uint64(seed)}
+	if pExit > 0 {
+		b.window = Time(math.Ceil(1 / pExit))
 	}
-	return &BurstLoss{
-		pEnter:  clamp(pEnter),
-		pExit:   clamp(pExit),
-		lossBad: clamp(lossBad),
-		rng:     rand.New(rand.NewSource(seed)),
+	if pEnter > 0 {
+		b.pBad = pEnter / (pEnter + pExit)
 	}
+	return b
 }
 
-// Fate implements Faults: advance the two-state chain, then draw the loss
-// verdict from the current state.
-func (b *BurstLoss) Fate(Time, NodeID, NodeID) Fate {
-	if b.bad {
-		if b.rng.Float64() < b.pExit {
-			b.bad = false
-		}
-	} else if b.rng.Float64() < b.pEnter {
-		b.bad = true
+// Fate implements Faults: look up the link's window state at now, then
+// draw the loss verdict from the message's key inside a bad window.
+func (b *BurstLoss) Fate(now Time, from, to NodeID, ks uint64, kc uint32) Fate {
+	if b.pBad == 0 || b.lossBad == 0 {
+		return Fate{}
 	}
-	return Fate{Drop: b.bad && b.rng.Float64() < b.lossBad}
+	link := uint64(uint32(from))<<32 | uint64(uint32(to))
+	w := uint64(now / b.window)
+	if unit(mix64(mix64(b.seed^link)^w*0x9E3779B97F4A7C15)) >= b.pBad {
+		return Fate{}
+	}
+	return Fate{Drop: keyedUnit(b.seed, ks, kc) < b.lossBad}
 }
 
 // Down implements Faults.
@@ -344,10 +349,10 @@ func (b *BurstLoss) Down(Time, NodeID) bool { return false }
 type Composite []Faults
 
 // Fate implements Faults.
-func (cs Composite) Fate(now Time, from, to NodeID) Fate {
+func (cs Composite) Fate(now Time, from, to NodeID, ks uint64, kc uint32) Fate {
 	var out Fate
 	for _, f := range cs {
-		fate := f.Fate(now, from, to)
+		fate := f.Fate(now, from, to, ks, kc)
 		out.Drop = out.Drop || fate.Drop
 		out.Delay += fate.Delay
 	}

@@ -1,6 +1,9 @@
 package simnet
 
 import (
+	"math"
+	"math/rand"
+	"sync/atomic"
 	"testing"
 )
 
@@ -210,36 +213,100 @@ func TestCompositeMerges(t *testing.T) {
 	}
 }
 
+// tally wraps one fault layer and counts the verdicts that changed
+// something, so a determinism test can check that every layer fired.
+type tally struct {
+	Faults
+	fired *atomic.Int64
+}
+
+func (t tally) Fate(now Time, from, to NodeID, ks uint64, kc uint32) Fate {
+	f := t.Faults.Fate(now, from, to, ks, kc)
+	if f.Drop || f.Delay > 0 {
+		t.fired.Add(1)
+	}
+	return f
+}
+
+func (t tally) Down(now Time, node NodeID) bool {
+	d := t.Faults.Down(now, node)
+	if d {
+		t.fired.Add(1)
+	}
+	return d
+}
+
 func TestFaultDeterminismAcrossParallelism(t *testing.T) {
-	// The faulty engine must stay byte-deterministic at any worker count.
-	run := func(par int) (uint64, uint64, Counter) {
+	// Every keyed fault model together must stay byte-deterministic at any
+	// worker count and any registration order: fates are pure functions of
+	// the message key, evaluated on whichever lane runs the sender.
+	const nodes = 30
+	type result struct {
+		delivered, dropped uint64
+		late, total        Counter
+	}
+	layers := []string{"loss", "lag", "burst", "adaptive", "churn"}
+	run := func(par int, shuffleSeed int64) (result, []int64) {
 		n := New(DefaultLatency(), 77)
 		n.SetParallelism(par)
-		n.SetFaults(Composite{
-			NewLoss(0.2, 5),
-			NewChurn(map[NodeID][]Window{3: {{From: 30, To: 90}}, 7: {{From: 10, To: 0}}}),
-		})
-		for id := NodeID(0); id < 30; id++ {
+		adv := NewAdaptive()
+		adv.Mute(5, 0, 40)
+		adv.Cut(7, []NodeID{8, 9}, 10, 50)
+		fired := make([]atomic.Int64, len(layers))
+		models := []Faults{
+			NewLoss(0.1, 5),
+			NewLag(0.1, 15, 6),
+			NewBurstLoss(0.1, 0.25, 0.5, 7),
+			adv,
+			NewChurn(map[NodeID][]Window{3: {{From: 30, To: 90}}, 11: {{From: 10, To: 0}}}),
+		}
+		var comp Composite
+		for i, f := range models {
+			comp = append(comp, tally{Faults: f, fired: &fired[i]})
+		}
+		n.SetFaults(comp)
+		order := make([]NodeID, nodes)
+		for i := range order {
+			order[i] = NodeID(i)
+		}
+		if shuffleSeed != 0 {
+			rand.New(rand.NewSource(shuffleSeed)).Shuffle(nodes, func(i, j int) {
+				order[i], order[j] = order[j], order[i]
+			})
+		}
+		for _, id := range order {
 			id := id
 			n.Register(id, func(ctx *Context, msg Message) {
 				if ctx.Now() < 60 {
-					ctx.Broadcast([]NodeID{(id + 1) % 30, (id + 2) % 30}, "G", nil, 3)
+					ctx.Broadcast([]NodeID{(id + 1) % nodes, (id + 2) % nodes}, "G", nil, 3)
 				}
 			})
 		}
-		for id := NodeID(0); id < 30; id++ {
+		for id := NodeID(0); id < nodes; id++ {
 			n.Send(id, id, "G", nil, 3)
 		}
 		n.RunUntilIdle()
-		return n.Delivered(), n.Dropped(), n.Metrics().Total()
+		counts := make([]int64, len(layers))
+		for i := range fired {
+			counts[i] = fired[i].Load()
+		}
+		m := n.Metrics()
+		return result{n.Delivered(), n.Dropped(), m.LateTotal(), m.Total()}, counts
 	}
-	d1, x1, c1 := run(1)
-	d8, x8, c8 := run(8)
-	if d1 != d8 || x1 != x8 || c1 != c8 {
-		t.Fatalf("faulty run diverged across parallelism: (%d,%d,%v) vs (%d,%d,%v)", d1, x1, c1, d8, x8, c8)
+	base, fired := run(1, 0)
+	for _, alt := range [][2]int64{{2, 0}, {8, 0}, {1, 777}, {8, 555}} {
+		got, _ := run(int(alt[0]), alt[1])
+		if got != base {
+			t.Fatalf("faulty run diverged at par=%d shuffle=%d: %+v vs %+v", alt[0], alt[1], got, base)
+		}
 	}
-	if x1 == 0 {
-		t.Fatal("no drops under a 20% loss model")
+	if base.dropped == 0 || base.late.Messages == 0 {
+		t.Fatalf("composite model dropped %d and delayed %d messages, want both > 0", base.dropped, base.late.Messages)
+	}
+	for i, name := range layers {
+		if fired[i] == 0 {
+			t.Errorf("fault layer %s never fired", name)
+		}
 	}
 }
 
@@ -329,41 +396,76 @@ func TestGrayFailureReceivesButNeverSends(t *testing.T) {
 }
 
 func TestBurstLossCorrelatedAndDeterministic(t *testing.T) {
-	// Fates from one seed are reproducible, and drops cluster: with a low
-	// entry probability and a high in-burst loss rate, the drop sequence
-	// must contain a run of consecutive drops that iid loss at the same
-	// overall rate would essentially never produce.
-	fates := func(seed int64) []bool {
-		b := NewBurstLoss(0.02, 0.2, 0.95, seed)
-		out := make([]bool, 2000)
-		for i := range out {
-			out[i] = b.Fate(0, 0, 1).Drop
-		}
-		return out
-	}
-	a, bb := fates(42), fates(42)
-	for i := range a {
-		if a[i] != bb[i] {
-			t.Fatalf("burst fates diverged at message %d for equal seeds", i)
+	// The keyed contract: a fate is a pure function of (now, from, to, ks,
+	// kc), so two models with one seed agree on every query, in any order.
+	a, b := NewBurstLoss(0.1, 0.25, 0.9, 42), NewBurstLoss(0.1, 0.25, 0.9, 42)
+	for i := 0; i < 2000; i++ {
+		now, from, to := Time(i/3), NodeID(i%5), NodeID(i%7)
+		ks, kc := uint64(i)*31, uint32(i%4)
+		if a.Fate(now, from, to, ks, kc) != b.Fate(now, from, to, ks, kc) {
+			t.Fatalf("burst fates diverged at query %d for equal seeds", i)
 		}
 	}
-	drops, run, maxRun := 0, 0, 0
-	for _, d := range a {
+	for i := 1999; i >= 0; i-- {
+		now, from, to := Time(i/3), NodeID(i%5), NodeID(i%7)
+		ks, kc := uint64(i)*31, uint32(i%4)
+		if a.Fate(now, from, to, ks, kc) != a.Fate(now, from, to, ks, kc) {
+			t.Fatalf("burst fate at query %d depends on call history", i)
+		}
+	}
+
+	// Drops on one link cluster in time. One message per tick along 0→1
+	// at a ~2.3% long-run rate: iid loss at that rate produces a run of 3
+	// consecutive drops in 2000 ticks with probability ~2.5%, while bad
+	// windows of ⌈1/pExit⌉ = 5 ticks produce them routinely. The drop
+	// that follows a drop is the sharper check: iid keeps it at the base
+	// rate, windows push it towards (W-1)/W·lossBad.
+	burst := NewBurstLoss(0.005, 0.2, 0.95, 42)
+	drops, pairs, run, maxRun := 0, 0, 0, 0
+	prev := false
+	for tick := 0; tick < 2000; tick++ {
+		d := burst.Fate(Time(tick), 0, 1, uint64(tick), 0).Drop
 		if d {
 			drops++
 			run++
-			if run > maxRun {
-				maxRun = run
+			maxRun = max(maxRun, run)
+			if prev {
+				pairs++
 			}
 		} else {
 			run = 0
 		}
+		prev = d
 	}
-	if drops == 0 || drops == len(a) {
-		t.Fatalf("burst loss dropped %d of %d", drops, len(a))
+	if drops == 0 || drops == 2000 {
+		t.Fatalf("burst loss dropped %d of 2000", drops)
 	}
 	if maxRun < 3 {
 		t.Fatalf("longest drop burst = %d, want ≥ 3 (loss is not time-correlated)", maxRun)
+	}
+	rate, follow := float64(drops)/2000, float64(pairs)/float64(drops)
+	t.Logf("one link: %d drops, longest run %d, P(drop | previous drop) %.3f", drops, maxRun, follow)
+	if follow < 10*rate {
+		t.Fatalf("P(drop | previous drop) = %.3f vs base rate %.3f: loss is not time-correlated", follow, rate)
+	}
+
+	// The long-run drop rate is π·lossBad, with π = pEnter/(pEnter+pExit).
+	const pEnter, pExit, lossBad = 0.02, 0.2, 0.95
+	stat := NewBurstLoss(pEnter, pExit, lossBad, 7)
+	total, lost := 0, 0
+	for link := 0; link < 64; link++ {
+		for tick := 0; tick < 20000; tick++ {
+			total++
+			if stat.Fate(Time(tick), NodeID(link), NodeID(link+1), uint64(total), 0).Drop {
+				lost++
+			}
+		}
+	}
+	want := pEnter / (pEnter + pExit) * lossBad
+	got := float64(lost) / float64(total)
+	t.Logf("long-run drop rate %.4f (π·lossBad = %.4f)", got, want)
+	if math.Abs(got-want) > 0.05*want {
+		t.Fatalf("long-run drop rate %.4f, want %.4f ± 5%%", got, want)
 	}
 }
 

@@ -50,9 +50,9 @@ type Metrics struct {
 	totalDrop Counter
 	totalLate Counter
 	// lanes are the per-worker shards; lane i is written exclusively by
-	// the worker running lane i of the current macro-step (receives and
-	// fast-path sends) or by the single-threaded barrier (slow-path sends
-	// and drops), and folded into the maps above by mergeLanes. The fold
+	// the worker running lane i of the current macro-step (receives,
+	// sends, fault-fate and dead-destination drops), and folded into the
+	// maps above by mergeLanes. The fold
 	// is amortised: the Network folds every mergeEvery batches and at the
 	// end of every drain, so readers — which only run between drains —
 	// always see fully merged accounting. The phase label is constant

@@ -146,10 +146,10 @@ func TestScaleDeterminism50x(t *testing.T) {
 	}
 }
 
-// TestEventPoolReuseRace exercises event and Context recycling under
-// maximum parallelism — the -race CI job runs it to prove a pooled
-// object is never touched by a worker after the single-threaded path
-// reclaimed it. The expected delivery count pins the semantics.
+// TestEventPoolReuseRace exercises event recycling and the per-lane
+// Context under maximum parallelism — the -race CI job runs it to prove a
+// pooled object is never touched by a worker after another lane reclaimed
+// it. The expected delivery count pins the semantics.
 func TestEventPoolReuseRace(t *testing.T) {
 	lat := DefaultLatency()
 	n := New(lat, 7)
@@ -213,9 +213,9 @@ func TestPhasesIncludeDroppedOnly(t *testing.T) {
 
 // TestSetDownRecoveryNoSkipAlloc is the SetDown(id, false) regression
 // test: recovery must delete the down entry (not store false), so a
-// fully recovered network takes the fault-free fast path and a warm
-// steady-state Step allocates nothing — no per-Step skip slice, no
-// event/Context churn.
+// fully recovered network skips the dead-destination pre-pass and a warm
+// steady-state Step allocates nothing — no per-Step skip slice, no event
+// churn.
 func TestSetDownRecoveryNoSkipAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counting is unreliable under -race")
@@ -287,8 +287,8 @@ func TestSetDownRecoveryWithFaultsNoSkipAlloc(t *testing.T) {
 // TestAdaptiveSteadyStateNoAlloc: an ACTIVE Adaptive adversary — crash,
 // mute, and directed-cut windows all in force while traffic flows — must
 // not break the steady-state zero-allocation property. Fate and Down are
-// pure window lookups and the slow path recycles Contexts through the
-// lane free lists, so a warm network under attack allocates nothing.
+// pure window lookups evaluated inline on the lane that runs the sender,
+// so a warm network under attack allocates nothing.
 func TestAdaptiveSteadyStateNoAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counting is unreliable under -race")

@@ -20,15 +20,17 @@
 //
 // The scheduler is lane-sharded for the ROADMAP's 10k–100k-node scale
 // ceiling (see ARCHITECTURE.md, "Lane-sharded scheduler"). Every worker
-// lane owns a calendar queue, an event free list, and a Context free list;
-// a macro-step pops each lane's tick batch in parallel, renumbers the
-// merged batch once on the driving goroutine, executes lanes in parallel
-// with same-lane effects pushed lane-locally, and exchanges cross-lane
-// sends through per-(src,dst) outboxes drained by the destination lane.
-// Determinism is carried by the scheduling key (ks, kc) — a pure function
-// of the event's causal origin — which every lane layout sorts identically,
-// so a seeded run produces identical results at any parallelism level and
-// any registration order. Steady-state message traffic allocates nothing.
+// lane owns a calendar queue, an event free list, and one reusable
+// Context; a macro-step pops each lane's tick batch in parallel, renumbers
+// the merged batch once on the driving goroutine, executes lanes in
+// parallel with same-lane effects pushed lane-locally, and exchanges
+// cross-lane sends through per-(src,dst) outboxes drained by the
+// destination lane. Faulted, audited and fault-free runs share this one
+// executor: fault fates, like delays, are pure functions of the message's
+// scheduling key (ks, kc) — itself a pure function of the event's causal
+// origin — which every lane layout sorts identically, so a seeded run
+// produces identical results at any parallelism level and any
+// registration order. Steady-state message traffic allocates nothing.
 package simnet
 
 import (
@@ -128,8 +130,14 @@ func (l Latency) DrawKeyed(seed, ks uint64, kc uint32, from, to NodeID) Time {
 	if l.Deterministic {
 		return b
 	}
-	x := mix64(seed ^ ks*0x9E3779B97F4A7C15 ^ (uint64(kc)+1)*0xD6E8FEB86659FD93)
-	return Time(x%uint64(b)) + 1
+	return Time(keyedHash(seed, ks, kc)%uint64(b)) + 1
+}
+
+// keyedHash is the per-message hash behind every keyed draw — link delays
+// here, fault fates in faults.go: a pure function of a seed and the
+// message's scheduling key (ks, kc).
+func keyedHash(seed, ks uint64, kc uint32) uint64 {
+	return mix64(seed ^ ks*0x9E3779B97F4A7C15 ^ (uint64(kc)+1)*0xD6E8FEB86659FD93)
 }
 
 type eventKind int
@@ -161,7 +169,6 @@ type event struct {
 	late bool   // held beyond the synchrony bound by the fault model
 	msg  Message
 	fn   func(*Context)
-	ctx  *Context // slow-path effect buffer, attached between exec and apply
 }
 
 // eventHeap orders events by (at, ks, kc). It backs the calendar queue's
@@ -189,13 +196,14 @@ func (h *eventHeap) Pop() any {
 // xmsg is one cross-lane send in flight between two lanes: a value record
 // (never a pooled pointer) so event structs stay inside their owning
 // lane's free list. The destination lane materialises it into one of its
-// own events during the exchange phase. Fast-path only — the fault-model
-// path applies all sends serially — so no late flag is needed.
+// own events during the exchange phase; late carries the fault model's
+// beyond-bound verdict across.
 type xmsg struct {
-	at  Time
-	ks  uint64
-	kc  uint32
-	msg Message
+	at   Time
+	ks   uint64
+	kc   uint32
+	late bool
+	msg  Message
 }
 
 // lane is one scheduler shard: a calendar queue, pools, batch scratch, and
@@ -210,10 +218,9 @@ type lane struct {
 	anySkip bool
 	nextAt  Time // earliest pending tick, refreshed by minTick
 	hasNext bool
-	drops   uint64   // dead-destination drops recorded this step
+	drops   uint64   // dead-destination and fault-fate drops recorded this step
 	freeEv  []*event // lane-local event pool
-	freeCtx []*Context
-	execCtx Context  // fast path: one reusable effect buffer per lane
+	execCtx Context  // one reusable effect buffer per lane
 	xout    [][]xmsg // xout[dst]: sends produced here for another lane
 }
 
@@ -234,25 +241,8 @@ func (ln *lane) newEvent() *event {
 }
 
 func (ln *lane) freeEvent(ev *event) {
-	*ev = event{} // drop payload/fn/ctx references before pooling
+	*ev = event{} // drop payload/fn references before pooling
 	ln.freeEv = append(ln.freeEv, ev)
-}
-
-func (ln *lane) newContext(node NodeID, t Time) *Context {
-	if k := len(ln.freeCtx) - 1; k >= 0 {
-		c := ln.freeCtx[k]
-		ln.freeCtx[k] = nil
-		ln.freeCtx = ln.freeCtx[:k]
-		c.Node, c.now = node, t
-		return c
-	}
-	return &Context{Node: node, now: t}
-}
-
-func (ln *lane) freeContext(c *Context) {
-	clear(c.out) // drop payload references, keep capacity
-	c.out = c.out[:0]
-	ln.freeCtx = append(ln.freeCtx, c)
 }
 
 // nodeSlot is the dense per-node table entry: the handler plus the
@@ -272,7 +262,7 @@ type Network struct {
 	slots       []nodeSlot      // handler + lane per node, indexed by NodeID
 	down        map[NodeID]bool // crashed/offline nodes drop all traffic
 	faults      Faults          // nil = fault-free (byte-identical to the pre-fault engine)
-	sendAudit   func(Message)   // optional per-send assertion hook (size audits in tests)
+	sendAudit   func(Message)   // optional per-send hook (size audits in tests); runs on lane workers
 	metrics     *Metrics
 	parallelism int
 	delivered   uint64
@@ -280,7 +270,6 @@ type Network struct {
 	horizon     Time
 
 	lanes   []*lane
-	merged  []*event // slow-path scratch: the batch in merged key order
 	heads   []int    // renumber merge cursors
 	moved   []*event // SetParallelism redistribution scratch
 	stepWG  sync.WaitGroup
@@ -405,8 +394,8 @@ func (n *Network) laneOf(id NodeID) *lane {
 // SetDown marks a node offline (true) or online (false). Offline nodes
 // silently drop incoming messages and their timers do not fire — the
 // paper's "simply pretending to be offline" behaviour. Recovery deletes
-// the entry, so a fully recovered network runs the fault-free fast path
-// again (no dead-destination pre-pass per step).
+// the entry, so a fully recovered network skips the dead-destination
+// pre-pass again.
 func (n *Network) SetDown(id NodeID, down bool) {
 	if down {
 		n.down[id] = true
@@ -429,7 +418,9 @@ func (n *Network) SetFaults(f Faults) {
 // SetSendAudit installs a hook observing every message at the moment it is
 // sent, before fault fates or delays are drawn. Tests use it to cross-check
 // each Send's declared Size against the wire codec's SizeHint; nil removes
-// the hook. The hook must not re-enter the Network.
+// the hook. Handler sends are audited on the worker lanes that execute the
+// handlers, concurrently and in no fixed order, so the hook must be safe
+// for concurrent use; it must not re-enter the Network.
 func (n *Network) SetSendAudit(fn func(Message)) { n.sendAudit = fn }
 
 // Metrics exposes the traffic accounting.
@@ -475,54 +466,40 @@ func (n *Network) nextKey() uint64 {
 
 // enqueueMessage is the external (driver-goroutine) send path. It records
 // metrics directly into the shared maps — the phase label may change
-// between drains, so external sends must not sit in a lane shard.
+// between drains, so external sends must not sit in a lane shard. The key
+// is drawn before the fault fate, so a dropped message consumes its key
+// exactly as a delivered one does; only a crashed sender's send draws none.
 func (n *Network) enqueueMessage(msg Message) {
 	if n.sendAudit != nil {
 		n.sendAudit(msg)
 	}
-	if n.faults != nil {
-		n.enqueueWithFaults(msg)
-		return
-	}
-	n.metrics.recordSend(msg)
-	ks := n.nextKey()
-	d := n.latency.DrawKeyed(n.seed, ks, 0, msg.From, msg.To)
-	ln := n.laneOf(msg.To)
-	ev := ln.newEvent()
-	ev.at, ev.ks, ev.kind, ev.node, ev.msg = n.now+d, ks, evMessage, msg.To, msg
-	ln.q.push(ev)
-}
-
-// enqueueWithFaults is the fault-model external send path. It is only
-// entered when a model is installed, so the fault-free engine stays
-// byte-identical to a network that never had SetFaults called. Sends
-// happen on one goroutine in deterministic order, so the model's Fate may
-// consume its own seeded RNG.
-func (n *Network) enqueueWithFaults(msg Message) {
-	if n.faults.Down(n.now, msg.From) {
+	if n.faults != nil && n.faults.Down(n.now, msg.From) {
 		return // a crashed sender transmits nothing
 	}
 	n.metrics.recordSend(msg)
-	fate := n.faults.Fate(n.now, msg.From, msg.To)
-	if fate.Drop {
-		n.metrics.recordDropped(msg)
-		n.dropped++
-		return
-	}
 	ks := n.nextKey()
-	d := n.latency.DrawKeyed(n.seed, ks, 0, msg.From, msg.To)
-	// Late is tallied at delivery, not here: a lagged message that dies at
-	// a crashed destination counts as dropped, never as late.
+	at, late := n.now+n.latency.DrawKeyed(n.seed, ks, 0, msg.From, msg.To), false
+	if n.faults != nil {
+		fate := n.faults.Fate(n.now, msg.From, msg.To, ks, 0)
+		if fate.Drop {
+			n.metrics.recordDropped(msg)
+			n.dropped++
+			return
+		}
+		// Late is tallied at delivery, not here: a lagged message that dies
+		// at a crashed destination counts as dropped, never as late.
+		at, late = at+fate.Delay, fate.Delay > 0
+	}
 	ln := n.laneOf(msg.To)
 	ev := ln.newEvent()
-	ev.at, ev.ks, ev.kind, ev.node, ev.late, ev.msg = n.now+d+fate.Delay, ks, evMessage, msg.To, fate.Delay > 0, msg
+	ev.at, ev.ks, ev.kind, ev.node, ev.late, ev.msg = at, ks, evMessage, msg.To, late, msg
 	ln.q.push(ev)
 }
 
 // Context is the per-delivery effect buffer handed to handlers. Handlers
-// must route all sends and timers through it; effects are applied in
-// deterministic order — lane-locally on the fault-free fast path, on the
-// single-threaded barrier under a fault model or send audit.
+// must route all sends and timers through it; the executing lane applies
+// the effects right after the handler returns, keyed by the delivery's
+// seq and the effect's index, so their order never depends on the lanes.
 type Context struct {
 	Node NodeID
 	now  Time
@@ -559,7 +536,7 @@ func (c *Context) After(d Time, fn func(*Context)) {
 // NewContext returns a standalone effect buffer for transports that run
 // handlers outside a Network — the live transport hands one to each
 // handler invocation and drains it with Effects. Contexts created here are
-// not pooled; the Network's own deliveries keep using the lane free lists.
+// not pooled; the Network's own deliveries reuse one Context per lane.
 func NewContext(node NodeID, now Time) *Context {
 	return &Context{Node: node, now: now}
 }
@@ -608,10 +585,10 @@ func (n *Network) Step() bool {
 
 // stepAt runs the macro-step at tick t (which minTick reported as the
 // cross-lane earliest): parallel per-lane pop, serial renumber, parallel
-// execution, parallel cross-lane exchange, serial counter fold.
+// execution (fault fates and send audits included), parallel cross-lane
+// exchange, serial counter fold.
 func (n *Network) stepAt(t Time) {
 	n.now = t
-	slow := n.faults != nil || n.sendAudit != nil
 
 	// Phase A: every lane with events at t pops and key-sorts its batch,
 	// running the dead-destination pre-pass (skip flags + drop accounting
@@ -630,51 +607,37 @@ func (n *Network) stepAt(t Time) {
 	// Serial barrier: assign final seqs in merged (ks, kc) order — the one
 	// canonical order every lane layout produces — so the keys of every
 	// event's effects are independent of parallelism.
-	total := n.renumber(slow)
+	total := n.renumber()
 	n.lastPop = total
 
-	// Phase B: execute. The fault-free fast path applies effects inline —
-	// timers and same-lane sends push into the lane's own calendar queue,
-	// cross-lane sends land in value outboxes. Under a fault model or send
-	// audit the lanes only buffer Contexts; effects apply serially below,
-	// preserving the Fate/audit contract (one goroutine, key order).
+	// Phase B: execute. Effects apply inline — timers and same-lane sends
+	// push into the lane's own calendar queue, cross-lane sends land in
+	// value outboxes; fault fates are pure keyed draws, so every lane
+	// consults them independently.
 	pooled := n.parallelism > 1 && total > 1
-	if slow {
-		if pooled {
-			n.dispatch(phaseExecSlow)
-		} else {
-			for _, ln := range n.lanes {
-				if len(ln.batch) > 0 {
-					n.execLaneSlow(ln)
-				}
-			}
-		}
-		n.applySlow()
+	if pooled {
+		n.dispatch(phaseExecFast)
 	} else {
-		if pooled {
-			n.dispatch(phaseExecFast)
+		for _, ln := range n.lanes {
+			if len(ln.batch) > 0 {
+				n.execLaneFast(ln)
+			}
+		}
+	}
+	// Phase C: destination lanes drain the outboxes addressed to them,
+	// materialising each record from their own free list.
+	xtotal := 0
+	for _, src := range n.lanes {
+		for _, recs := range src.xout {
+			xtotal += len(recs)
+		}
+	}
+	if xtotal > 0 {
+		if pooled && xtotal >= poolCutoff {
+			n.dispatch(phaseExchange)
 		} else {
 			for _, ln := range n.lanes {
-				if len(ln.batch) > 0 {
-					n.execLaneFast(ln)
-				}
-			}
-		}
-		// Phase C: destination lanes drain the outboxes addressed to them,
-		// materialising each record from their own free list.
-		xtotal := 0
-		for _, src := range n.lanes {
-			for _, recs := range src.xout {
-				xtotal += len(recs)
-			}
-		}
-		if xtotal > 0 {
-			if pooled && xtotal >= poolCutoff {
-				n.dispatch(phaseExchange)
-			} else {
-				for _, ln := range n.lanes {
-					n.exchangeLane(ln)
-				}
+				n.exchangeLane(ln)
 			}
 		}
 	}
@@ -727,13 +690,9 @@ func (n *Network) popLane(ln *lane) {
 }
 
 // renumber assigns final seqs to the popped batch in merged (ks, kc)
-// order via an L-way merge over the key-sorted lane batches. When
-// buildMerged is set (the slow path) it also collects the merged order
-// for the serial effect-application barrier. Returns the batch total.
-func (n *Network) renumber(buildMerged bool) int {
-	if buildMerged {
-		n.merged = n.merged[:0]
-	}
+// order via an L-way merge over the key-sorted lane batches. Returns the
+// batch total.
+func (n *Network) renumber() int {
 	total, active := 0, 0
 	var single *lane
 	for _, ln := range n.lanes {
@@ -750,9 +709,6 @@ func (n *Network) renumber(buildMerged bool) int {
 		for _, ev := range single.batch {
 			ev.seq = n.ctr
 			n.ctr++
-		}
-		if buildMerged {
-			n.merged = append(n.merged, single.batch...)
 		}
 		return total
 	}
@@ -778,19 +734,17 @@ func (n *Network) renumber(buildMerged bool) int {
 		best.seq = n.ctr
 		n.ctr++
 		heads[bi]++
-		if buildMerged {
-			n.merged = append(n.merged, best)
-		}
 	}
 	return total
 }
 
-// execLaneFast runs one lane's batch on the fault-free fast path: the
-// handler fires with the lane's reusable Context, then its effects apply
-// inline — timers and same-lane sends push into this lane's calendar
-// queue from this lane's free list, cross-lane sends append to the value
-// outbox for the destination lane. Send-side metrics go to this lane's
-// shard. Runs on pool workers; all state touched is lane-owned.
+// execLaneFast runs one lane's batch: the handler fires with the lane's
+// reusable Context, then its effects apply inline — timers and same-lane
+// sends push into this lane's calendar queue from this lane's free list,
+// cross-lane sends append to the value outbox for the destination lane.
+// Each send is audited, charged to this lane's metrics shard, and given
+// its fault fate here: a pure keyed draw, so the verdict is the same on
+// any lane. Runs on pool workers; all state touched is lane-owned.
 func (n *Network) execLaneFast(ln *lane) {
 	sh := &n.metrics.lanes[ln.idx]
 	ctx := &ln.execCtx
@@ -822,125 +776,43 @@ func (n *Network) execLaneFast(ln *lane) {
 		ln.freeEvent(ev) // may be recycled for a child immediately below
 		for idx := range ctx.out {
 			ef := &ctx.out[idx]
+			kc := uint32(idx)
 			if ef.isTimer {
 				d := ef.delay
 				if d < 1 {
 					d = 1
 				}
 				ch := ln.newEvent()
-				ch.at, ch.ks, ch.kc, ch.kind, ch.node, ch.fn = t+d, pseq, uint32(idx), evTimer, node, ef.fn
+				ch.at, ch.ks, ch.kc, ch.kind, ch.node, ch.fn = t+d, pseq, kc, evTimer, node, ef.fn
+				ln.q.push(ch)
+				continue
+			}
+			msg := ef.msg
+			if n.sendAudit != nil {
+				n.sendAudit(msg)
+			}
+			sh.recordSend(msg)
+			at, late := t+n.latency.DrawKeyed(n.seed, pseq, kc, msg.From, msg.To), false
+			if n.faults != nil {
+				fate := n.faults.Fate(t, msg.From, msg.To, pseq, kc)
+				if fate.Drop {
+					sh.recordDropped(msg)
+					ln.drops++
+					continue
+				}
+				at, late = at+fate.Delay, fate.Delay > 0
+			}
+			if dl := n.laneFor(msg.To, L); dl == ln.idx {
+				ch := ln.newEvent()
+				ch.at, ch.ks, ch.kc, ch.kind, ch.node, ch.late, ch.msg = at, pseq, kc, evMessage, msg.To, late, msg
 				ln.q.push(ch)
 			} else {
-				msg := ef.msg
-				sh.recordSend(msg)
-				d := n.latency.DrawKeyed(n.seed, pseq, uint32(idx), msg.From, msg.To)
-				if dl := n.laneFor(msg.To, L); dl == ln.idx {
-					ch := ln.newEvent()
-					ch.at, ch.ks, ch.kc, ch.kind, ch.node, ch.msg = t+d, pseq, uint32(idx), evMessage, msg.To, msg
-					ln.q.push(ch)
-				} else {
-					ln.xout[dl] = append(ln.xout[dl], xmsg{at: t + d, ks: pseq, kc: uint32(idx), msg: msg})
-				}
+				ln.xout[dl] = append(ln.xout[dl], xmsg{at: at, ks: pseq, kc: kc, late: late, msg: msg})
 			}
 		}
 		clear(ctx.out)
 		ctx.out = ctx.out[:0]
 	}
-}
-
-// execLaneSlow runs one lane's batch under a fault model or send audit:
-// handlers fire in parallel exactly as on the fast path, but effects stay
-// buffered in per-event Contexts for the serial barrier. Receive-side
-// metrics still go to the lane shard.
-func (n *Network) execLaneSlow(ln *lane) {
-	sh := &n.metrics.lanes[ln.idx]
-	t := n.now
-	for i, ev := range ln.batch {
-		ev.ctx = nil
-		if ln.anySkip && ln.skip[i] {
-			continue
-		}
-		switch ev.kind {
-		case evMessage:
-			h := n.handlerOf(ev.node)
-			if h == nil {
-				continue
-			}
-			ctx := ln.newContext(ev.node, t)
-			ev.ctx = ctx
-			sh.recordRecv(ev.msg)
-			if ev.late {
-				sh.recordLate(ev.msg)
-			}
-			h(ctx, ev.msg)
-		case evTimer:
-			ctx := ln.newContext(ev.node, t)
-			ev.ctx = ctx
-			ev.fn(ctx)
-		}
-	}
-}
-
-// applySlow applies the batch's buffered effects on the driving goroutine
-// in merged key order — exactly the order the pre-shard engine used — so
-// the fault model's Fate is consulted once per message, on one goroutine,
-// in an order independent of parallelism, and the send audit observes the
-// same sequence. Events and Contexts return to their owning lane's pools.
-func (n *Network) applySlow() {
-	for mi, ev := range n.merged {
-		ln := n.laneOf(ev.node)
-		if ctx := ev.ctx; ctx != nil {
-			for idx := range ctx.out {
-				ef := &ctx.out[idx]
-				if ef.isTimer {
-					d := ef.delay
-					if d < 1 {
-						d = 1
-					}
-					ch := ln.newEvent()
-					ch.at, ch.ks, ch.kc, ch.kind, ch.node, ch.fn = n.now+d, ev.seq, uint32(idx), evTimer, ev.node, ef.fn
-					ln.q.push(ch)
-				} else {
-					n.sendSlow(ef.msg, ev.seq, uint32(idx))
-				}
-			}
-			ev.ctx = nil
-			ln.freeContext(ctx)
-		}
-		ln.freeEvent(ev)
-		n.merged[mi] = nil
-	}
-	n.merged = n.merged[:0]
-}
-
-// sendSlow is the barrier send path: audit, fault fate, accounting (into
-// the sender's lane shard — the barrier is single-threaded, so shard
-// writes cannot race), delay, push into the destination's lane.
-func (n *Network) sendSlow(msg Message, ks uint64, kc uint32) {
-	if n.sendAudit != nil {
-		n.sendAudit(msg)
-	}
-	if n.faults != nil && n.faults.Down(n.now, msg.From) {
-		return // a crashed sender transmits nothing
-	}
-	sh := &n.metrics.lanes[n.laneFor(msg.From, len(n.lanes))]
-	sh.recordSend(msg)
-	var extra Time
-	if n.faults != nil {
-		fate := n.faults.Fate(n.now, msg.From, msg.To)
-		if fate.Drop {
-			dsh := &n.metrics.lanes[n.laneFor(msg.To, len(n.lanes))]
-			dsh.recordDropped(msg)
-			n.dropped++
-			return
-		}
-		extra = fate.Delay
-	}
-	d := n.latency.DrawKeyed(n.seed, ks, kc, msg.From, msg.To)
-	dl := n.laneOf(msg.To)
-	ev := dl.newEvent()
-	ev.at, ev.ks, ev.kc, ev.kind, ev.node, ev.late, ev.msg = n.now+d+extra, ks, kc, evMessage, msg.To, extra > 0, msg
-	dl.q.push(ev)
 }
 
 // exchangeLane drains every outbox addressed to this lane, materialising
@@ -956,7 +828,7 @@ func (n *Network) exchangeLane(dst *lane) {
 		for i := range recs {
 			x := &recs[i]
 			ev := dst.newEvent()
-			ev.at, ev.ks, ev.kc, ev.kind, ev.node, ev.msg = x.at, x.ks, x.kc, evMessage, x.msg.To, x.msg
+			ev.at, ev.ks, ev.kc, ev.kind, ev.node, ev.late, ev.msg = x.at, x.ks, x.kc, evMessage, x.msg.To, x.late, x.msg
 			dst.q.push(ev)
 			recs[i] = xmsg{} // drop payload references
 		}

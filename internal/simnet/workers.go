@@ -16,9 +16,9 @@ import (
 //
 // Determinism is unaffected by the worker count: lane assignment is a
 // pure function of NodeID and the Network's parallelism (see laneFor),
-// each lane phase touches only lane-owned state, and the orders that
-// matter — batch renumbering and fault-model effect application — run on
-// the single-threaded barriers between phases. Workers never submit
+// each lane phase touches only lane-owned state (fault fates are pure
+// keyed draws), and the one order that matters — batch renumbering — runs
+// on the single-threaded barrier between phases. Workers never submit
 // tasks, so pool starvation cannot deadlock.
 type laneTask struct {
 	net   *Network
@@ -31,7 +31,6 @@ type laneTask struct {
 const (
 	phasePop = iota
 	phaseExecFast
-	phaseExecSlow
 	phaseExchange
 )
 
@@ -42,7 +41,7 @@ func (n *Network) wants(phase int, ln *lane) bool {
 	switch phase {
 	case phasePop:
 		return ln.hasNext && ln.nextAt == n.now
-	case phaseExecFast, phaseExecSlow:
+	case phaseExecFast:
 		return len(ln.batch) > 0
 	default: // phaseExchange: the per-source check is inside exchangeLane
 		return true
@@ -78,8 +77,6 @@ func (n *Network) runPhase(phase, lane int) {
 		n.popLane(ln)
 	case phaseExecFast:
 		n.execLaneFast(ln)
-	case phaseExecSlow:
-		n.execLaneSlow(ln)
 	case phaseExchange:
 		n.exchangeLane(ln)
 	}

@@ -14,7 +14,7 @@ import (
 // registered node is a goroutine, and every message crosses between them
 // only as codec-encoded bytes over a Mesh link. A conservative clock on
 // the RunUntilIdle caller's goroutine owns virtual time and the event
-// heap; it draws per-message delays from the same seeded RNG as
+// heap; it derives per-message delays with the same keyed hash as
 // *simnet.Network, dispatches each tick's deliveries to the destination
 // goroutines concurrently, and applies their buffered effects in global
 // sequence order. The result is the simnet's exact event schedule —

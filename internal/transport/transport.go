@@ -4,8 +4,9 @@
 // transport (Live) that runs every node as a real concurrent goroutine
 // exchanging codec-encoded bytes over per-link connections.
 //
-// The simnet is the oracle: both implementations draw per-message delays
-// from the same seeded RNG in the same order, so a fault-free scenario
+// The simnet is the oracle: both implementations derive each message's
+// delay from the run seed and the message's scheduling key with the same
+// pure hash (simnet.Latency.DrawKeyed), so a fault-free scenario
 // produces identical virtual-time schedules — and therefore identical
 // RoundReports, byte for byte — on either transport. The live transport
 // differs only in mechanism: payloads cross node boundaries exclusively
@@ -49,7 +50,10 @@ type Transport interface {
 	// drop incoming messages and their timers do not fire.
 	SetDown(id simnet.NodeID, down bool)
 	// SetSendAudit installs a hook observing every message at send time,
-	// before delays are drawn; nil removes it.
+	// before delays are drawn; nil removes it. Implementations may call
+	// the hook from several goroutines at once (the simulator audits
+	// handler sends on its worker lanes), so it must be safe for
+	// concurrent use.
 	SetSendAudit(fn func(simnet.Message))
 	// Close releases transport resources (goroutines, links). The sim
 	// adapter has none and returns nil; a closed live transport must not

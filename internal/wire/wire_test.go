@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"cycledger/internal/committee"
@@ -298,7 +299,8 @@ func TestDecodeRejectsJunk(t *testing.T) {
 // simnet send-audit hook installed and asserts every message declares
 // exactly the codec's size for its payload — the declared-size oracle the
 // live transport relies on. TagPVSSShare is exempt: the beacon traffic is
-// modeled (nil payload, analytic share size), never serialised.
+// modeled (nil payload, analytic share size), never serialised. The engine
+// runs two simnet lanes, so the hook is exercised under concurrent calls.
 func TestEngineSendSizesMatchCodec(t *testing.T) {
 	scenarios := map[string]func(*protocol.Params){
 		"default": func(p *protocol.Params) {},
@@ -321,29 +323,31 @@ func TestEngineSendSizesMatchCodec(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			p := protocol.DefaultParams()
 			p.Rounds = 2
+			p.Parallelism = 2 // the hook then runs on concurrent lane workers
 			tweak(&p)
 			e, err := protocol.NewEngine(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			audited := 0
+			var audited atomic.Int64
 			e.Net.SetSendAudit(func(m simnet.Message) {
 				if m.Tag == protocol.TagPVSSShare {
 					return
 				}
-				audited++
+				audited.Add(1)
 				hint, err := wire.SizeHint(m.Payload)
 				if err != nil {
-					t.Fatalf("%s payload %T: %v", m.Tag, m.Payload, err)
+					t.Errorf("%s payload %T: %v", m.Tag, m.Payload, err)
+					return
 				}
 				if m.Size != hint {
-					t.Fatalf("%s payload %T: declared size %d, codec size %d", m.Tag, m.Payload, m.Size, hint)
+					t.Errorf("%s payload %T: declared size %d, codec size %d", m.Tag, m.Payload, m.Size, hint)
 				}
 			})
 			if _, err := e.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if audited == 0 {
+			if audited.Load() == 0 {
 				t.Fatal("audit hook never fired")
 			}
 		})

@@ -33,7 +33,7 @@ type (
 	OneWayPartitionSpec = protocol.OneWayPartitionSpec
 	// GraySpec gray-fails a node subset: they receive but never send.
 	GraySpec = protocol.GraySpec
-	// BurstLossSpec injects Gilbert-Elliott time-correlated loss bursts.
+	// BurstLossSpec injects keyed two-state, time-correlated loss bursts.
 	BurstLossSpec = protocol.BurstLossSpec
 	// ChurnSpec crashes a node subset on a staggered periodic schedule or
 	// an explicit window list.
