@@ -6,7 +6,10 @@ package committee
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"cycledger/internal/crypto"
 	"cycledger/internal/simnet"
@@ -121,24 +124,57 @@ func (d *Directory) Clone() *Directory {
 	return c
 }
 
-// canonical returns the injective byte encoding of the sorted member list.
-func (d *Directory) canonical() [][]byte {
-	recs := d.Records()
-	parts := make([][]byte, 0, 2*len(recs))
-	for _, rec := range recs {
-		var nb [4]byte
-		nb[0] = byte(rec.Node >> 24)
-		nb[1] = byte(rec.Node >> 16)
-		nb[2] = byte(rec.Node >> 8)
-		nb[3] = byte(rec.Node)
-		parts = append(parts, nb[:], rec.PK)
-	}
-	return parts
-}
-
 // SemiCommitment returns H(S) over the canonical encoding — the
 // committee's semi-commitment of §IV-B. Computational binding is inherited
 // from the collision resistance of H (Lemma 1).
 func (d *Directory) SemiCommitment() crypto.Digest {
-	return crypto.H(append([][]byte{[]byte("cycledger/semicom/v1")}, d.canonical()...)...)
+	return ListCommitment(d.Records())
+}
+
+// ListCommitment returns H(S) for a member list as received: the
+// SemiCommitment of the Directory built by adding recs in order. The
+// canonical encoding is tag ‖ (node ID ‖ PK)* in node-ID order, and for a
+// node listed more than once the later record wins. A strictly sorted
+// list — what an honest leader sends — is hashed as it stands, straight
+// into the framed hash; any other list is canonicalised on a copy first.
+func ListCommitment(recs []MemberRecord) crypto.Digest {
+	if !strictlySorted(recs) {
+		recs = canonicalRecords(recs)
+	}
+	f := crypto.NewFramed()
+	f.Part([]byte("cycledger/semicom/v1"))
+	var nb [4]byte
+	for _, rec := range recs {
+		binary.BigEndian.PutUint32(nb[:], uint32(rec.Node))
+		f.Part(nb[:])
+		f.Part(rec.PK)
+	}
+	return f.Sum()
+}
+
+// strictlySorted reports whether node IDs strictly increase along recs,
+// which rules out duplicates as well as disorder.
+func strictlySorted(recs []MemberRecord) bool {
+	for i := 1; i < len(recs); i++ {
+		if recs[i].Node <= recs[i-1].Node {
+			return false
+		}
+	}
+	return true
+}
+
+// canonicalRecords returns recs sorted by node ID with one record per
+// node, the last one listed — the Directory's view of the same list.
+func canonicalRecords(recs []MemberRecord) []MemberRecord {
+	out := slices.Clone(recs)
+	slices.SortStableFunc(out, func(a, b MemberRecord) int { return cmp.Compare(a.Node, b.Node) })
+	n := 0
+	for i, rec := range out {
+		if i+1 < len(out) && out[i+1].Node == rec.Node {
+			continue
+		}
+		out[n] = rec
+		n++
+	}
+	return out[:n]
 }

@@ -66,6 +66,32 @@ func HKeyed(key []byte, parts ...[]byte) Digest {
 	return d
 }
 
+// Framed computes H incrementally: calling Part once per part, in order,
+// and then Sum yields exactly H(parts...). It hashes a long or generated
+// list of parts without materialising the [][]byte that H takes, while
+// the length-prefix framing stays inside this package.
+type Framed struct {
+	h      hash.Hash
+	lenBuf [8]byte
+}
+
+// NewFramed returns a Framed with no parts absorbed.
+func NewFramed() *Framed { return &Framed{h: sha256.New()} }
+
+// Part absorbs one part, framed exactly as H frames it.
+func (f *Framed) Part(p []byte) {
+	binary.BigEndian.PutUint64(f.lenBuf[:], uint64(len(p)))
+	f.h.Write(f.lenBuf[:])
+	f.h.Write(p)
+}
+
+// Sum returns H over the parts absorbed so far.
+func (f *Framed) Sum() Digest {
+	var d Digest
+	f.h.Sum(d[:0])
+	return d
+}
+
 // AppendH appends H(parts...) to dst and returns the extended slice — the
 // append-into-caller-buffer variant of H. With sufficient capacity in dst
 // the call performs no allocation.
@@ -100,13 +126,11 @@ type PrefixHasher struct {
 // NewPrefixHasher absorbs the prefix parts (framed exactly as H frames
 // them) and snapshots the midstate.
 func NewPrefixHasher(prefix ...[]byte) (*PrefixHasher, error) {
-	h := sha256.New()
-	var lenBuf [8]byte
+	f := NewFramed()
 	for _, p := range prefix {
-		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(p)))
-		h.Write(lenBuf[:])
-		h.Write(p)
+		f.Part(p)
 	}
+	h := f.h
 	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
 	if err != nil {
 		return nil, err

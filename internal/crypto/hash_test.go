@@ -257,3 +257,23 @@ func TestPrefixHasherMatchesH(t *testing.T) {
 		t.Fatalf("SumWith allocated %.1f times per run", allocs)
 	}
 }
+
+// TestFramedMatchesH: feeding parts through Framed one at a time yields
+// exactly H over the same parts, empty parts and the empty list included.
+func TestFramedMatchesH(t *testing.T) {
+	cases := [][][]byte{
+		nil,
+		{{}},
+		{[]byte("a"), {}, []byte("bc")},
+		{[]byte("cycledger/semicom/v1"), {0, 0, 0, 7}, make([]byte, 32)},
+	}
+	for i, parts := range cases {
+		f := NewFramed()
+		for _, p := range parts {
+			f.Part(p)
+		}
+		if got, want := f.Sum(), H(parts...); got != want {
+			t.Fatalf("case %d: Framed = %x, H = %x", i, got, want)
+		}
+	}
+}

@@ -110,13 +110,11 @@ func (m SemiComMsg) SigParts() [][]byte {
 	return [][]byte{[]byte(TagSemiCom), u64(m.Round), u64(m.Committee), m.SemiCom[:]}
 }
 
-// ListDigest hashes the attached member list.
+// ListDigest hashes the attached member list (committee.ListCommitment).
+// Receivers compute it from Records; the message's own SemiCom field is
+// the claim it is checked against, never a shortcut for it.
 func (m SemiComMsg) ListDigest() crypto.Digest {
-	d := committee.NewDirectory()
-	for _, rec := range m.Records {
-		d.Add(rec)
-	}
-	return d.SemiCommitment()
+	return committee.ListCommitment(m.Records)
 }
 
 // SemiComOKMsg is C_R's announcement of the validated commitments to all

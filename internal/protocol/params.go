@@ -39,7 +39,7 @@ type Params struct {
 
 	Scheme      consensus.SignatureScheme
 	Seed        int64
-	Parallelism int    // simnet worker pool; 0 = GOMAXPROCS
+	Parallelism int    // simnet and CPU-stage worker pools; 0 = GOMAXPROCS
 	PowHardness uint64 // expected hash attempts per participation puzzle
 
 	// DisableRecovery turns off the leader re-selection procedure —
@@ -61,7 +61,9 @@ type Params struct {
 	// parallel. Round reports are bit-identical to the sequential
 	// engine's at any parallelism level, except Duration, which becomes
 	// the critical path of the overlapped stage schedule instead of the
-	// sum of the phases.
+	// sum of the phases. Fanning a CPU stage out over Parallelism (the
+	// PoW search, the honest verdicts) happens in both schedules; this
+	// toggle only adds the overlap between stages.
 	Pipelined bool
 
 	// ParallelBlockGen enables the §VIII-B extension: committee members

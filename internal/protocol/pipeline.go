@@ -203,12 +203,13 @@ type powEntry struct {
 // opens, so this CPU-heavy work overlaps the consensus phases instead of
 // serialising behind them — the election half of the paper's pipeline.
 // Solutions are submitted on the network during the selection phase.
-// In pipelined mode the solving fans out over the configured worker pool;
-// either way the solutions are identical (the search is deterministic).
+// In both schedules the solving fans out over the engine's worker pool
+// (parallelFor); the solutions are identical at any pool size because
+// each node's search is deterministic and writes only its own entry.
 func (e *Engine) stagePow() {
 	puzzle := e.powPuzzle()
 	e.powSols = make([]powEntry, len(e.nodes))
-	solve := func(i int) {
+	e.parallelFor(len(e.nodes), func(i int) {
 		n := e.nodes[i]
 		if n.Behavior.Offline {
 			return
@@ -218,33 +219,7 @@ func (e *Engine) stagePow() {
 			return
 		}
 		e.powSols[i] = powEntry{ok: true, sol: sol}
-	}
-	workers := 1
-	if e.P.Pipelined {
-		workers = e.effectiveParallelism()
-	}
-	if workers <= 1 {
-		for i := range e.nodes {
-			solve(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int, len(e.nodes))
-	for i := range e.nodes {
-		next <- i
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				solve(i)
-			}
-		}()
-	}
-	wg.Wait()
+	})
 }
 
 // pendingBlock carries the assembled-but-uncertified block state from the

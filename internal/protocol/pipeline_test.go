@@ -3,6 +3,7 @@ package protocol
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -63,6 +64,62 @@ func TestPipelinedDeterministicAcrossParallelism(t *testing.T) {
 			if !reflect.DeepEqual(runs[0][j], r[j]) {
 				t.Fatalf("round %d reports not deeply equal across parallelism", j+1)
 			}
+		}
+	}
+}
+
+// TestPowFanOutIdenticalAcrossParallelism: the sequential schedule fans
+// the PoW search out over the worker pool, and every node's solution —
+// offline nodes' missing ones included — and every round report are the
+// same at Parallelism 1, 2 and 8. GOMAXPROCS is raised for the test so the
+// pool really runs 8 workers (parallelFor caps it at GOMAXPROCS).
+func TestPowFanOutIdenticalAcrossParallelism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	base := DefaultParams()
+	base.PowHardness = 256
+	base.MaliciousFrac = 0.1
+	base.ByzantineBehavior = Behavior{Offline: true}
+
+	var wantSols [][]powEntry
+	var wantReports string
+	for _, par := range []int{1, 2, 8} {
+		p := base
+		p.Parallelism = par
+		e, err := NewEngine(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sols [][]powEntry
+		var reports []*RoundReport
+		for r := 0; r < 2; r++ {
+			// The select phase consumes and clears powSols, so snapshot a
+			// stand-alone search over the round's puzzle first.
+			e.stagePow()
+			sols = append(sols, e.powSols)
+			rep, err := e.RunRound()
+			if err != nil {
+				t.Fatalf("par %d round %d: %v", par, r+1, err)
+			}
+			reports = append(reports, rep)
+		}
+		if par == 1 {
+			wantSols, wantReports = sols, renderReports(reports)
+			missing := 0
+			for _, s := range sols[0] {
+				if !s.ok {
+					missing++
+				}
+			}
+			if missing == 0 || missing == len(sols[0]) {
+				t.Fatalf("%d of %d nodes lack a solution; want some but not all (offline nodes skip the search)", missing, len(sols[0]))
+			}
+			continue
+		}
+		if !reflect.DeepEqual(sols, wantSols) {
+			t.Fatalf("par %d: PoW solutions differ from par 1", par)
+		}
+		if got := renderReports(reports); got != wantReports {
+			t.Fatalf("par %d: round reports differ from par 1:\n%s\nvs\n%s", par, wantReports, got)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package protocol
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"cycledger/internal/ledger"
 	"cycledger/internal/reputation"
@@ -99,49 +100,58 @@ func (e *Engine) effectiveParallelism() int {
 	return w
 }
 
-// precomputeVerdicts computes each committee's honest vote vector on a
-// per-shard worker pool. Every honest member of committee k evaluates the
+// parallelFor runs fn(i) for every i in [0, n) on up to
+// effectiveParallelism() goroutines that claim indices from a shared
+// counter. fn must be safe to call concurrently for distinct indices and
+// must write only index-owned state, so results never depend on which
+// worker ran which index. With one worker the loop runs inline, in index
+// order, on the caller's goroutine.
+func (e *Engine) parallelFor(n int, fn func(i int)) {
+	workers := min(e.effectiveParallelism(), n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// precomputeVerdicts computes each committee's honest vote vector on the
+// engine's worker pool. Every honest member of committee k evaluates the
 // same list in the same order against the same state, so the vector is a
 // per-shard fact, not a per-node one; nodes then derive their actual votes
 // from it through their Behavior (see voteOnTxs). Shard-local speculative
 // views (overlays over the striped store) keep validation free of
 // cross-shard lock contention.
 func (e *Engine) precomputeVerdicts(w *routedWork) {
-	w.verdicts = make(map[uint64]reputation.VoteVector, len(w.intra))
 	shards := make([]uint64, 0, len(w.intra))
 	for k := range w.intra {
 		shards = append(shards, k)
 	}
-	workers := e.effectiveParallelism()
-	if workers > len(shards) {
-		workers = len(shards)
+	verdicts := make([]reputation.VoteVector, len(shards))
+	e.parallelFor(len(shards), func(i int) {
+		verdicts[i] = e.honestVerdictFor(w.intra[shards[i]])
+	})
+	w.verdicts = make(map[uint64]reputation.VoteVector, len(shards))
+	for i, k := range shards {
+		w.verdicts[k] = verdicts[i]
 	}
-	if workers <= 1 {
-		for _, k := range shards {
-			w.verdicts[k] = e.honestVerdictFor(w.intra[k])
-		}
-		return
-	}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	next := make(chan uint64, len(shards))
-	for _, k := range shards {
-		next <- k
-	}
-	close(next)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range next {
-				v := e.honestVerdictFor(w.intra[k])
-				mu.Lock()
-				w.verdicts[k] = v
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // honestVerdictFor evaluates one committee's list in order. With

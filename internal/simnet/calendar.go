@@ -27,7 +27,16 @@ type calQueue struct {
 	inBuckets int
 	buckets   [][]*event
 	overflow  eventHeap
+	spare     [][]*event // drained bucket arrays kept for reuse (see release)
 }
+
+// maxSpareBuckets bounds the drained backing arrays a queue keeps. A tick
+// burst sizes one array, and an emptied bucket hands its array to the
+// spare list instead of keeping it, so retained capacity is that of the
+// live buckets plus at most this many spares — not one peak-sized array
+// per ring slot. It exceeds the number of distinct future ticks one lane
+// typically has pending, so steady-state pushes still find a spare.
+const maxSpareBuckets = 32
 
 // newCalQueue sizes the ring to cover the given near-future horizon
 // (rounded up to a power of two, clamped to [256, 8192] ticks).
@@ -51,7 +60,13 @@ func (q *calQueue) len() int { return q.inBuckets + len(q.overflow) }
 func (q *calQueue) push(ev *event) {
 	if d := ev.at - q.base; d >= 1 && d <= q.nbucket {
 		idx := ev.at & q.mask
-		q.buckets[idx] = append(q.buckets[idx], ev)
+		b := q.buckets[idx]
+		if cap(b) == 0 && len(q.spare) > 0 {
+			last := len(q.spare) - 1
+			b, q.spare[last] = q.spare[last], nil
+			q.spare = q.spare[:last]
+		}
+		q.buckets[idx] = append(b, ev)
 		q.inBuckets++
 		return
 	}
@@ -97,9 +112,20 @@ func keyLess(a, b *event) int {
 	return 0
 }
 
+// release clears a drained bucket's event pointers and keeps its backing
+// array as a spare while the spare list has room; otherwise the array is
+// left to the garbage collector.
+func (q *calQueue) release(b []*event) {
+	clear(b)
+	if cap(b) > 0 && len(q.spare) < maxSpareBuckets {
+		q.spare = append(q.spare, b[:0])
+	}
+}
+
 // popBatch appends every event scheduled at tick t to out, sorted by
-// scheduling key, and advances base to t. The emptied bucket keeps its
-// capacity so steady-state traffic never reallocates.
+// scheduling key, and advances base to t. The emptied bucket's array goes
+// to the spare list, from which the next push into an empty bucket takes
+// it, so steady-state traffic never reallocates.
 func (q *calQueue) popBatch(t Time, out []*event) []*event {
 	start := len(out)
 	var bucket []*event
@@ -115,10 +141,8 @@ func (q *calQueue) popBatch(t Time, out []*event) []*event {
 	slices.SortFunc(out[start:], keyLess)
 	if idx >= 0 {
 		q.inBuckets -= len(bucket)
-		for i := range bucket {
-			bucket[i] = nil
-		}
-		q.buckets[idx] = bucket[:0]
+		q.release(bucket)
+		q.buckets[idx] = nil
 	}
 	if t > q.base {
 		q.base = t
@@ -131,13 +155,12 @@ func (q *calQueue) popBatch(t Time, out []*event) []*event {
 // a new lane layout; order is irrelevant because popBatch sorts by key.
 func (q *calQueue) drain(out []*event) []*event {
 	if q.inBuckets > 0 {
-		for i := range q.buckets {
-			b := q.buckets[i]
-			out = append(out, b...)
-			for j := range b {
-				b[j] = nil
+		for i, b := range q.buckets {
+			if len(b) > 0 {
+				out = append(out, b...)
+				q.release(b)
+				q.buckets[i] = nil
 			}
-			q.buckets[i] = b[:0]
 		}
 		q.inBuckets = 0
 	}

@@ -195,3 +195,78 @@ func TestCalendarQueuePerLaneBoundary(t *testing.T) {
 		}
 	}
 }
+
+// retainedCap sums the event-pointer capacity a queue holds across its
+// ring buckets and its spare list.
+func retainedCap(q *calQueue) int {
+	n := 0
+	for _, b := range q.buckets {
+		n += cap(b)
+	}
+	for _, b := range q.spare {
+		n += cap(b)
+	}
+	return n
+}
+
+// TestCalendarRetentionBounded runs many rounds of fan-out gossip whose
+// start ticks drift around the 256-tick ring, so over time every ring
+// slot receives a burst. Retained bucket capacity, summed over all lanes
+// at each round's idle point, must stay within maxSpareBuckets arrays of
+// the largest burst the run produced, and must not keep growing once the
+// run is warm — a ring that kept each slot's peak array would end up
+// holding one peak-sized array per slot.
+func TestCalendarRetentionBounded(t *testing.T) {
+	const nodes, fanout, depth = 64, 4, 5
+	n := New(DefaultLatency(), 23)
+	n.SetParallelism(2)
+	gossip := func(ctx *Context, msg Message) {
+		if msg.Size > 1 {
+			for k := NodeID(1); k <= fanout; k++ {
+				ctx.Send((msg.To+k)%nodes, "gossip", nil, msg.Size-1)
+			}
+		}
+	}
+	for id := NodeID(0); id < nodes; id++ {
+		n.Register(id, gossip)
+	}
+	retained := func() int {
+		sum := 0
+		for _, ln := range n.lanes {
+			sum += retainedCap(ln.q)
+		}
+		return sum
+	}
+	perRound := 0 // messages one round schedules: Σ fanout^h
+	for h, f := 0, 1; h < depth; h, f = h+1, f*fanout {
+		perRound += f
+	}
+	var warm, peak int
+	const rounds = 300
+	for r := 0; r < rounds; r++ {
+		n.Send(NodeID(r%nodes), NodeID((r+1)%nodes), "gossip", nil, depth)
+		n.RunUntilIdle()
+		// Drift the next round's start across the ring.
+		n.After(NodeID(r%nodes), Time(1+r%37), func(*Context) {})
+		n.RunUntilIdle()
+		got := retained()
+		peak = max(peak, got)
+		if r == rounds/10 {
+			warm = got
+		}
+	}
+	// No array outgrows twice a whole round's traffic, and at idle only
+	// spares remain, at most maxSpareBuckets per lane.
+	if bound := len(n.lanes) * maxSpareBuckets * 2 * perRound; peak > bound {
+		t.Fatalf("retained capacity peaked at %d pointers, above the spare-list bound %d", peak, bound)
+	}
+	if final := retained(); final > 2*warm {
+		t.Fatalf("retained capacity kept growing: %d pointers after %d rounds, %d after %d", final, rounds, warm, rounds/10)
+	}
+	// The ring is 256 slots, far more than maxSpareBuckets: hoarding one
+	// array per slot would retain more than a few rounds' traffic.
+	if peak > 4*perRound {
+		t.Fatalf("retained capacity peaked at %d pointers, more than 4 rounds of traffic (%d)", peak, 4*perRound)
+	}
+	t.Logf("retained %d pointers at peak (%d after warm-up), %d messages per round", peak, warm, perRound)
+}
