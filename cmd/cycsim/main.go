@@ -10,7 +10,6 @@
 //	go run ./cmd/cycsim -scenario leader-fault -json
 //	go run ./cmd/cycsim -scenario dos-prescreen -rounds 5
 //	go run ./cmd/cycsim -config run.json -seed 7
-//	go run ./cmd/cycsim -transport live -rounds 3
 //	go run ./cmd/cycsim -list-scenarios
 //
 // With -sweep (repeatable) or -sweep-file the resolved configuration
@@ -66,7 +65,6 @@ func main() {
 	par := flag.Int("parallel", def.Parallelism, "simnet worker pool size (0 = GOMAXPROCS)")
 	pipelined := flag.Bool("pipelined", def.Pipelined, "run rounds as a concurrent stage pipeline (§IV overlap)")
 	scheme := flag.String("scheme", def.Scheme, "signature scheme: hash|ed25519")
-	transport := flag.String("transport", def.Transport, "network transport: sim (deterministic simulator) | live (concurrent node processes; fault-free scenarios only)")
 	top := flag.Int("top", 5, "reputation leaderboard size")
 
 	var sweepAxes []sweep.Axis
@@ -161,7 +159,6 @@ func main() {
 	applyIf("parallel", func() { cfg.Parallelism = *par })
 	applyIf("pipelined", func() { cfg.Pipelined = *pipelined })
 	applyIf("scheme", func() { cfg.Scheme = *scheme })
-	applyIf("transport", func() { cfg.Transport = *transport })
 	// A command-line -malicious without -behavior keeps the old CLI's
 	// default of vote inversion. The fallback is scoped to the flag layer:
 	// a scenario or config file that sets a positive fraction without a

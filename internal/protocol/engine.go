@@ -93,9 +93,9 @@ type RoundReport struct {
 // Throughput returns included transactions per round.
 func (r *RoundReport) Throughput() int { return r.IntraIncluded + r.CrossIncluded }
 
-// Engine runs the full protocol over a pluggable transport — the
-// deterministic simulator by default, or any Params.Transport factory
-// (e.g. the live concurrent-process transport).
+// Engine runs the full protocol over a transport — the deterministic
+// simulator by default, or whatever a Params.Transport factory wraps
+// around it.
 type Engine struct {
 	P   Params
 	Net transport.Transport
@@ -142,24 +142,18 @@ type Engine struct {
 // protocol's timeout/watchdog machinery. Config-driven runs go through
 // Params.Faults; this entry point exists for tests and advanced callers
 // that need a custom model (e.g. crash injection keyed to phase starts).
-// Call before the first round; nil uninstalls. It fails when the
-// transport cannot honour the model (the live transport rejects every
-// real fault model).
-func (e *Engine) InstallFaults(f simnet.Faults) error {
+// Call before the first round; nil uninstalls.
+func (e *Engine) InstallFaults(f simnet.Faults) {
 	if _, none := f.(simnet.NoFaults); none {
 		f = nil
 	}
-	if err := e.Net.SetFaults(f); err != nil {
-		return err
-	}
+	e.Net.SetFaults(f)
 	e.faults = f
 	e.faultsActive = f != nil
-	return nil
 }
 
-// Close releases the transport's resources (a no-op for the simulator;
-// goroutines, links, and pipes for the live transport). The engine must
-// not run further rounds afterwards.
+// Close releases the transport's resources (a no-op for the simulator).
+// The engine must not run further rounds afterwards.
 func (e *Engine) Close() error { return e.Net.Close() }
 
 // nodeDown reports whether a node is unreachable right now: explicitly
@@ -235,9 +229,7 @@ func NewEngine(p Params) (*Engine, error) {
 				model = simnet.Composite{prev, am}
 			}
 		}
-		if err := e.InstallFaults(model); err != nil {
-			return nil, err
-		}
+		e.InstallFaults(model)
 	}
 
 	n := p.TotalNodes()

@@ -11,9 +11,9 @@ import (
 // internal/consensus/wiresize.go: [u16 tag][body] framing, u32 length
 // prefixes, 4-byte NodeIDs, 1-byte presence flags for pointers, maps with
 // sorted keys). The codec's audit test asserts that each WireSize equals
-// the encoded length, and the simnet send-audit asserts that declared
-// Send sizes match — which is what keeps Table II's delivered-bytes
-// faithful to a real serialisation.
+// the encoded length, and wire.RoundTrip, run as the simnet send hook,
+// asserts that declared Send sizes match — which is what keeps Table
+// II's delivered-bytes faithful to a real serialisation.
 
 func sliceBytesWire(b []byte) int { return 4 + len(b) }
 

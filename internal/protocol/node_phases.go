@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"slices"
+
 	"cycledger/internal/committee"
 	"cycledger/internal/consensus"
 	"cycledger/internal/crypto"
@@ -136,9 +138,14 @@ func (n *Node) startIntra(ctx *simnet.Context, attempt int) {
 	})
 }
 
-// onTxList is the member side: vote and reply (§IV-C step 3).
+// onTxList is the member side: vote and reply (§IV-C step 3). The list
+// must carry the current leader's signature over (round, committee,
+// attempt); a relay may forward it, but only the leader can issue it.
 func (n *Node) onTxList(ctx *simnet.Context, m TxListMsg) {
 	if m.Committee != n.comID || m.Round != n.eng.round {
+		return
+	}
+	if n.eng.P.Scheme.Verify(n.eng.pkOf(n.curLeader), m.Sig, u64(m.Round), u64(m.Committee), u64(uint64(m.Attempt))) != nil {
 		return
 	}
 	if n.treeMode() && (n.txList == nil || n.txList.Attempt != m.Attempt) {
@@ -191,12 +198,18 @@ func (n *Node) recordVote(voter simnet.NodeID, v reputation.VoteVector) {
 	n.voteOrder = append(n.voteOrder, voter)
 }
 
-// onVote is the leader side of vote collection.
+// onVote is the leader side of vote collection (§IV-C steps 3–4). Only a
+// committee member's vote, signed by that member, is recorded: since the
+// first vote per voter wins, an unchecked Voter field would let any node
+// stuff or pre-empt another member's vote.
 func (n *Node) onVote(ctx *simnet.Context, m VoteMsg) {
 	if n.ID != n.curLeader || m.Committee != n.comID || m.Round != n.eng.round {
 		return
 	}
-	if len(m.Votes) != len(n.currentList()) {
+	if len(m.Votes) != len(n.currentList()) || !slices.Contains(n.committeeNodes, m.Voter) {
+		return
+	}
+	if n.eng.P.Scheme.Verify(n.eng.pkOf(m.Voter), m.Sig, voteSigMsg(m.Round, m.Voter, m.Votes)) != nil {
 		return
 	}
 	n.recordVote(m.Voter, m.Votes)

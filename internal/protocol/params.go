@@ -95,10 +95,10 @@ type Params struct {
 	AggregateCerts bool
 
 	// Transport builds the network the engine runs over; nil selects the
-	// deterministic simulator (transport.SimFactory). Alternative
-	// factories — the live transport with real concurrent node processes —
-	// must use the engine's latency model and seed, which the engine
-	// passes in, so the simnet oracle-parity contract holds.
+	// deterministic simulator (transport.SimFactory). A custom factory —
+	// typically one wrapping SimFactory to instrument the network — must
+	// build it from the latency model and seed the engine passes in, or
+	// the run's delay schedule changes.
 	Transport transport.Factory
 }
 

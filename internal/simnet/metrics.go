@@ -233,40 +233,6 @@ func (m *Metrics) Phase() string {
 	return m.phase
 }
 
-// RecordSend charges a message to the sender-side, per-tag, and total
-// counters. Exported for transports that account traffic outside a
-// Network (the live transport); the simnet's external send path uses the
-// same accounting.
-func (m *Metrics) RecordSend(msg Message) { m.recordSend(msg) }
-
-// RecordRecv charges a delivered message to the receiver-side counters of
-// the current phase. Unlike the simnet's lock-free lane shards, this takes
-// the mutex per call — the live transport's clock applies deliveries one
-// batch at a time, where per-call locking is not a bottleneck.
-func (m *Metrics) RecordRecv(msg Message) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	k := phaseNode{m.phase, msg.To}
-	c := m.received[k]
-	if c == nil {
-		c = &Counter{}
-		m.received[k] = c
-	}
-	c.add(msg.Size)
-}
-
-// RecordLate charges a beyond-bound delivery to the late counter.
-func (m *Metrics) RecordLate(msg Message) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.totalLate.add(msg.Size)
-}
-
-// RecordDropped charges a lost message to the destination's dropped
-// counters. Exported counterpart of the simnet's internal accounting, for
-// external transports.
-func (m *Metrics) RecordDropped(msg Message) { m.recordDropped(msg) }
-
 func (m *Metrics) recordSend(msg Message) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -25,7 +25,7 @@
 // the merged batch once on the driving goroutine, executes lanes in
 // parallel with same-lane effects pushed lane-locally, and exchanges
 // cross-lane sends through per-(src,dst) outboxes drained by the
-// destination lane. Faulted, audited and fault-free runs share this one
+// destination lane. Faulted, hooked and fault-free runs share this one
 // executor: fault fates, like delays, are pure functions of the message's
 // scheduling key (ks, kc) — itself a pure function of the event's causal
 // origin — which every lane layout sorts identically, so a seeded run
@@ -119,9 +119,8 @@ func mix64(x uint64) uint64 {
 // link: uniform in [1, bound], or exactly the bound when the model is
 // Deterministic. The draw is a pure hash of (seed, ks, kc) — the run seed
 // and the message's scheduling key — so any goroutine can compute it
-// without touching shared RNG state, and the simnet and the live
-// transport derive identical delays for the same message (the oracle
-// contract: same seed, same key, same delay).
+// without touching shared RNG state: same seed, same key, same delay, on
+// whichever lane the message is sent.
 func (l Latency) DrawKeyed(seed, ks uint64, kc uint32, from, to NodeID) Time {
 	b := l.bound(from, to)
 	if b < 1 {
@@ -258,11 +257,11 @@ type Network struct {
 	latency     Latency
 	seed        uint64 // raw seed fed to DrawKeyed
 	now         Time
-	ctr         uint64          // unified key/sequence counter (see event)
-	slots       []nodeSlot      // handler + lane per node, indexed by NodeID
-	down        map[NodeID]bool // crashed/offline nodes drop all traffic
-	faults      Faults          // nil = fault-free (byte-identical to the pre-fault engine)
-	sendAudit   func(Message)   // optional per-send hook (size audits in tests); runs on lane workers
+	ctr         uint64            // unified key/sequence counter (see event)
+	slots       []nodeSlot        // handler + lane per node, indexed by NodeID
+	down        map[NodeID]bool   // crashed/offline nodes drop all traffic
+	faults      Faults            // nil = fault-free (byte-identical to the pre-fault engine)
+	sendHook    func(Message) any // optional per-send payload rewrite (codec round trips in tests); runs on lane workers
 	metrics     *Metrics
 	parallelism int
 	delivered   uint64
@@ -415,13 +414,15 @@ func (n *Network) SetFaults(f Faults) {
 	n.faults = f
 }
 
-// SetSendAudit installs a hook observing every message at the moment it is
-// sent, before fault fates or delays are drawn. Tests use it to cross-check
-// each Send's declared Size against the wire codec's SizeHint; nil removes
-// the hook. Handler sends are audited on the worker lanes that execute the
-// handlers, concurrently and in no fixed order, so the hook must be safe
-// for concurrent use; it must not re-enter the Network.
-func (n *Network) SetSendAudit(fn func(Message)) { n.sendAudit = fn }
+// SetSendHook installs a hook that sees every message at the moment it is
+// sent, before fault fates or delays are drawn, and returns the payload to
+// deliver in its place. Tests install wire.RoundTrip here, so every
+// delivered payload is a decoded copy of its encoding; only the payload
+// can change — size, tag and endpoints are fixed by the hook's type. nil
+// removes the hook. Handler sends pass through it on the worker lanes
+// that execute the handlers, concurrently and in no fixed order, so the
+// hook must be safe for concurrent use; it must not re-enter the Network.
+func (n *Network) SetSendHook(fn func(Message) any) { n.sendHook = fn }
 
 // Metrics exposes the traffic accounting.
 func (n *Network) Metrics() *Metrics { return n.metrics }
@@ -470,8 +471,8 @@ func (n *Network) nextKey() uint64 {
 // is drawn before the fault fate, so a dropped message consumes its key
 // exactly as a delivered one does; only a crashed sender's send draws none.
 func (n *Network) enqueueMessage(msg Message) {
-	if n.sendAudit != nil {
-		n.sendAudit(msg)
+	if n.sendHook != nil {
+		msg.Payload = n.sendHook(msg)
 	}
 	if n.faults != nil && n.faults.Down(n.now, msg.From) {
 		return // a crashed sender transmits nothing
@@ -533,10 +534,10 @@ func (c *Context) After(d Time, fn func(*Context)) {
 	c.out = append(c.out, effect{isTimer: true, delay: d, fn: fn})
 }
 
-// NewContext returns a standalone effect buffer for transports that run
-// handlers outside a Network — the live transport hands one to each
-// handler invocation and drains it with Effects. Contexts created here are
-// not pooled; the Network's own deliveries reuse one Context per lane.
+// NewContext returns a standalone effect buffer for running a handler
+// outside a Network — handler-level tests hand one to a single invocation
+// and inspect it with Effects. Contexts created here are not pooled; the
+// Network's own deliveries reuse one Context per lane.
 func NewContext(node NodeID, now Time) *Context {
 	return &Context{Node: node, now: now}
 }
@@ -585,7 +586,7 @@ func (n *Network) Step() bool {
 
 // stepAt runs the macro-step at tick t (which minTick reported as the
 // cross-lane earliest): parallel per-lane pop, serial renumber, parallel
-// execution (fault fates and send audits included), parallel cross-lane
+// execution (fault fates and the send hook included), parallel cross-lane
 // exchange, serial counter fold.
 func (n *Network) stepAt(t Time) {
 	n.now = t
@@ -742,9 +743,10 @@ func (n *Network) renumber() int {
 // reusable Context, then its effects apply inline — timers and same-lane
 // sends push into this lane's calendar queue from this lane's free list,
 // cross-lane sends append to the value outbox for the destination lane.
-// Each send is audited, charged to this lane's metrics shard, and given
-// its fault fate here: a pure keyed draw, so the verdict is the same on
-// any lane. Runs on pool workers; all state touched is lane-owned.
+// Each send passes the send hook, is charged to this lane's metrics
+// shard, and is given its fault fate here: a pure keyed draw, so the
+// verdict is the same on any lane. Runs on pool workers; all state
+// touched is lane-owned.
 func (n *Network) execLaneFast(ln *lane) {
 	sh := &n.metrics.lanes[ln.idx]
 	ctx := &ln.execCtx
@@ -788,8 +790,8 @@ func (n *Network) execLaneFast(ln *lane) {
 				continue
 			}
 			msg := ef.msg
-			if n.sendAudit != nil {
-				n.sendAudit(msg)
+			if n.sendHook != nil {
+				msg.Payload = n.sendHook(msg)
 			}
 			sh.recordSend(msg)
 			at, late := t+n.latency.DrawKeyed(n.seed, pseq, kc, msg.From, msg.To), false

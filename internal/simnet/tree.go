@@ -8,11 +8,11 @@ import "math/bits"
 // with j + 2^t < n. Rank 0 therefore sends to ranks 1, 2, 4, 8, …, each of
 // which relays to its own subtree, and every rank is reached in at most
 // TreeDepth(n) = ⌈log₂ n⌉ hops. The rule is purely positional — no shared
-// state, no channel setup — so any transport (the deterministic simulator
-// or the live byte-stream transport) disseminates by having each receiver
-// compute TreeChildren of its own rank and forward. A crashed or partitioned
-// interior node silences exactly its subtree, which the protocol's
-// per-phase silence watchdogs then observe as a missing artifact.
+// state, no channel setup — so any transport disseminates by having each
+// receiver compute TreeChildren of its own rank and forward. A crashed or
+// partitioned interior node silences exactly its subtree, which the
+// protocol's per-phase silence watchdogs then observe as a missing
+// artifact.
 
 // TreeChildren returns the ranks rank relays to in an n-node binomial
 // broadcast tree, in ascending order. Rank 0 is the root; out-of-range

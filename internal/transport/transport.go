@@ -1,18 +1,8 @@
-// Package transport abstracts the network under the protocol engine
-// behind a single interface with two implementations: the deterministic
-// discrete-event simulator (package simnet, wrapped by Sim) and a live
-// transport (Live) that runs every node as a real concurrent goroutine
-// exchanging codec-encoded bytes over per-link connections.
-//
-// The simnet is the oracle: both implementations derive each message's
-// delay from the run seed and the message's scheduling key with the same
-// pure hash (simnet.Latency.DrawKeyed), so a fault-free scenario
-// produces identical virtual-time schedules — and therefore identical
-// RoundReports, byte for byte — on either transport. The live transport
-// differs only in mechanism: payloads cross node boundaries exclusively
-// as serialised frames (see frame.go) over Mesh links, handlers execute
-// concurrently on per-node goroutines, and a conservative clock sequences
-// deliveries so concurrency never reorders the oracle schedule.
+// Package transport is the network contract the protocol engine programs
+// against, with one implementation: the deterministic discrete-event
+// simulator (package simnet, wrapped by Sim). The interface stays so a
+// caller can wrap the simulator — a benchmark harness timing each drain,
+// say — through protocol.Params.Transport without touching the engine.
 package transport
 
 import (
@@ -38,26 +28,21 @@ type Transport interface {
 	Now() simnet.Time
 	// Metrics exposes the traffic accounting.
 	Metrics() *simnet.Metrics
-	// SetFaults installs a fault model. Transports that cannot honour the
-	// model reject it with an error; nil (or simnet.NoFaults) always
-	// succeeds and restores fault-free behaviour.
-	SetFaults(f simnet.Faults) error
-	// SetParallelism tunes same-tick execution width where the transport
-	// supports it; elsewhere it is a no-op (the live transport is always
-	// one goroutine per node).
+	// SetFaults installs a fault model; nil (or simnet.NoFaults) restores
+	// fault-free behaviour.
+	SetFaults(f simnet.Faults)
+	// SetParallelism tunes same-tick execution width.
 	SetParallelism(k int)
 	// SetDown marks a node offline (true) or online (false); offline nodes
 	// drop incoming messages and their timers do not fire.
 	SetDown(id simnet.NodeID, down bool)
-	// SetSendAudit installs a hook observing every message at send time,
-	// before delays are drawn; nil removes it. Implementations may call
-	// the hook from several goroutines at once (the simulator audits
-	// handler sends on its worker lanes), so it must be safe for
-	// concurrent use.
-	SetSendAudit(fn func(simnet.Message))
-	// Close releases transport resources (goroutines, links). The sim
-	// adapter has none and returns nil; a closed live transport must not
-	// be used again.
+	// SetSendHook installs a hook that sees every message at send time,
+	// before delays are drawn, and returns the payload to deliver; nil
+	// removes it. The simulator calls the hook for handler sends on its
+	// worker lanes, several at once, so it must be safe for concurrent use.
+	SetSendHook(fn func(simnet.Message) any)
+	// Close releases transport resources. The simulator holds none and
+	// returns nil.
 	Close() error
 }
 
@@ -65,21 +50,6 @@ type Transport interface {
 // seed are the engine's, so every factory-built transport draws the same
 // delay schedule.
 type Factory func(lat simnet.Latency, seed int64) (Transport, error)
-
-// Codec serialises message payloads for transports that move real bytes.
-// package wire provides the production implementation; the interface
-// keeps this package free of a dependency on the message definitions.
-type Codec interface {
-	// SizeHint returns the exact encoded size of v, or an error for an
-	// unregistered type.
-	SizeHint(v any) (int, error)
-	// AppendEncode appends v's encoding to buf and returns the extended
-	// buffer.
-	AppendEncode(buf []byte, v any) ([]byte, error)
-	// Decode parses one value from the front of data, returning it and
-	// the number of bytes consumed.
-	Decode(data []byte) (any, int, error)
-}
 
 // Sim adapts *simnet.Network to the Transport interface. It adds nothing:
 // every method is the network's own, so engine behaviour on Sim is the
@@ -92,13 +62,6 @@ type Sim struct {
 // engine run.
 func NewSim(lat simnet.Latency, seed int64) *Sim {
 	return &Sim{Network: simnet.New(lat, seed)}
-}
-
-// SetFaults installs the fault model on the underlying network; the
-// simulator honours every model, so this never fails.
-func (s *Sim) SetFaults(f simnet.Faults) error {
-	s.Network.SetFaults(f)
-	return nil
 }
 
 // Close is a no-op: the simulator holds no external resources.

@@ -28,6 +28,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -49,8 +50,8 @@ import (
 const MaxMessageSize = 1 << 20
 
 // Type tags. The tag space is append-only: a tag, once assigned, never
-// changes meaning (the live transport's framing and any future persisted
-// streams depend on it).
+// changes meaning (any persisted stream or byte-moving transport would
+// depend on it).
 const (
 	// TagNil frames a nil payload (e.g. the modeled PVSS beacon traffic).
 	TagNil uint16 = 0
@@ -583,6 +584,40 @@ func Encode(v any) ([]byte, error) {
 		return nil, fmt.Errorf("wire: SizeHint %d != encoded %d for %T", n, len(buf), v)
 	}
 	return buf, nil
+}
+
+// RoundTrip is the codec-fidelity check for one sent message, shaped to
+// serve as a simnet send hook: it encodes the payload, asserts the message
+// declares exactly the encoded size (TagPVSSShare is exempt — the beacon
+// traffic is modelled, with a nil payload and an analytic share size),
+// decodes it, checks the decoder consumed the whole encoding and that
+// re-encoding the decoded value reproduces the same bytes, and returns the
+// decoded value. A run delivering these copies in place of the originals
+// proves every payload survives the wire and no handler depends on payload
+// memory shared with its sender.
+func RoundTrip(msg simnet.Message) (any, error) {
+	enc, err := Encode(msg.Payload) // len(enc) == SizeHint, or an error
+	if err != nil {
+		return nil, fmt.Errorf("wire: %s payload: %w", msg.Tag, err)
+	}
+	if msg.Size != len(enc) && msg.Tag != protocol.TagPVSSShare {
+		return nil, fmt.Errorf("wire: %s payload %T: declared size %d, codec size %d", msg.Tag, msg.Payload, msg.Size, len(enc))
+	}
+	dec, n, err := Decode(enc)
+	if err != nil {
+		return nil, fmt.Errorf("wire: %s payload %T: decode: %w", msg.Tag, msg.Payload, err)
+	}
+	if n != len(enc) {
+		return nil, fmt.Errorf("wire: %s payload %T: decode consumed %d of %d bytes", msg.Tag, msg.Payload, n, len(enc))
+	}
+	again, err := Encode(dec)
+	if err != nil {
+		return nil, fmt.Errorf("wire: %s payload %T: re-encode: %w", msg.Tag, msg.Payload, err)
+	}
+	if !bytes.Equal(again, enc) {
+		return nil, fmt.Errorf("wire: %s payload %T: re-encoding the decoded value changed its bytes", msg.Tag, msg.Payload)
+	}
+	return dec, nil
 }
 
 func appendBytes(buf, b []byte) []byte {

@@ -295,12 +295,13 @@ func TestDecodeRejectsJunk(t *testing.T) {
 	}
 }
 
-// TestEngineSendSizesMatchCodec runs real engine scenarios with the
-// simnet send-audit hook installed and asserts every message declares
-// exactly the codec's size for its payload — the declared-size oracle the
-// live transport relies on. TagPVSSShare is exempt: the beacon traffic is
-// modeled (nil payload, analytic share size), never serialised. The engine
-// runs two simnet lanes, so the hook is exercised under concurrent calls.
+// TestEngineSendSizesMatchCodec is the codec-fidelity parity test for the
+// engine configurations no registered scenario covers. Each case runs
+// twice: plain, and with wire.RoundTrip as the send hook, so every message
+// declares exactly its codec size and every handler receives a decoded
+// copy of the encoding instead of the sender's value. The two runs' round
+// reports must be deeply equal, Duration included. The engine runs two
+// simnet lanes, so the hook is exercised under concurrent calls.
 func TestEngineSendSizesMatchCodec(t *testing.T) {
 	scenarios := map[string]func(*protocol.Params){
 		"default": func(p *protocol.Params) {},
@@ -321,36 +322,63 @@ func TestEngineSendSizesMatchCodec(t *testing.T) {
 	}
 	for name, tweak := range scenarios {
 		t.Run(name, func(t *testing.T) {
-			p := protocol.DefaultParams()
-			p.Rounds = 2
-			p.Parallelism = 2 // the hook then runs on concurrent lane workers
-			tweak(&p)
-			e, err := protocol.NewEngine(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var audited atomic.Int64
-			e.Net.SetSendAudit(func(m simnet.Message) {
-				if m.Tag == protocol.TagPVSSShare {
-					return
-				}
-				audited.Add(1)
-				hint, err := wire.SizeHint(m.Payload)
+			run := func(hook func(simnet.Message) any) []*protocol.RoundReport {
+				p := protocol.DefaultParams()
+				p.Rounds = 2
+				p.Parallelism = 2 // the hook then runs on concurrent lane workers
+				tweak(&p)
+				e, err := protocol.NewEngine(p)
 				if err != nil {
-					t.Errorf("%s payload %T: %v", m.Tag, m.Payload, err)
-					return
+					t.Fatal(err)
 				}
-				if m.Size != hint {
-					t.Errorf("%s payload %T: declared size %d, codec size %d", m.Tag, m.Payload, m.Size, hint)
+				e.Net.SetSendHook(hook)
+				reports, err := e.Run()
+				if err != nil {
+					t.Fatal(err)
 				}
-			})
-			if _, err := e.Run(); err != nil {
-				t.Fatal(err)
+				return reports
 			}
-			if audited.Load() == 0 {
-				t.Fatal("audit hook never fired")
+			var tripped atomic.Int64
+			got := run(func(m simnet.Message) any {
+				tripped.Add(1)
+				v, err := wire.RoundTrip(m)
+				if err != nil {
+					t.Error(err)
+					return m.Payload
+				}
+				return v
+			})
+			if tripped.Load() == 0 {
+				t.Fatal("send hook never fired")
+			}
+			if want := run(nil); !reflect.DeepEqual(want, got) {
+				t.Errorf("round-tripped run diverges from the plain run\n plain: %+v\n wire:  %+v", want, got)
 			}
 		})
+	}
+}
+
+// TestRoundTripRejects checks wire.RoundTrip fails a message whose
+// declared size disagrees with its codec size, and one whose payload the
+// codec does not know; a modelled PVSS share may declare any size.
+func TestRoundTripRejects(t *testing.T) {
+	tx := sampleTx(1)
+	if _, err := wire.RoundTrip(simnet.Message{Tag: "TX", Payload: tx, Size: tx.WireSize() + 1}); err == nil {
+		t.Error("RoundTrip accepted a mis-declared size")
+	}
+	if _, err := wire.RoundTrip(simnet.Message{Tag: "X", Payload: struct{ X int }{}, Size: 2}); err == nil {
+		t.Error("RoundTrip accepted an unregistered payload")
+	}
+	v, err := wire.RoundTrip(simnet.Message{Tag: protocol.TagPVSSShare, Size: 96})
+	if err != nil || v != nil {
+		t.Errorf("PVSS share: got (%v, %v), want (nil, nil)", v, err)
+	}
+	v, err = wire.RoundTrip(simnet.Message{Tag: "TX", Payload: tx, Size: tx.WireSize()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.(*ledger.Tx) == tx || !reflect.DeepEqual(v, tx) {
+		t.Error("RoundTrip must return an equal, distinct copy")
 	}
 }
 

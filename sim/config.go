@@ -9,8 +9,6 @@ import (
 
 	"cycledger/internal/consensus"
 	"cycledger/internal/protocol"
-	"cycledger/internal/transport"
-	"cycledger/internal/wire"
 )
 
 // Config is the JSON-serialisable form of a simulation setup. It mirrors
@@ -43,12 +41,6 @@ type Config struct {
 	Seed        int64  `json:"seed"`
 	Parallelism int    `json:"parallelism"`
 	PowHardness uint64 `json:"pow_hardness"`
-
-	// Transport names the network the engine runs over: "sim" (the
-	// deterministic simulator, the default) or "live" (real concurrent
-	// node processes exchanging wire-encoded bytes; report-identical to
-	// "sim" by the oracle-parity contract, but fault models are refused).
-	Transport string `json:"transport"`
 
 	DisableRecovery  bool `json:"disable_recovery"`
 	PreScreenCross   bool `json:"pre_screen_cross"`
@@ -89,10 +81,6 @@ func (c Config) Params() (protocol.Params, error) {
 	if err != nil {
 		return protocol.Params{}, err
 	}
-	factory, err := parseTransport(c.Transport)
-	if err != nil {
-		return protocol.Params{}, err
-	}
 	return protocol.Params{
 		M:                 c.M,
 		C:                 c.C,
@@ -115,7 +103,6 @@ func (c Config) Params() (protocol.Params, error) {
 		ParallelBlockGen:  c.ParallelBlockGen,
 		AggregateCerts:    c.AggregateCerts,
 		Faults:            c.Faults.Clone(),
-		Transport:         factory,
 	}, nil
 }
 
@@ -166,12 +153,6 @@ func configFromParams(p protocol.Params) (Config, error) {
 	if err != nil {
 		return Config{}, err
 	}
-	if p.Transport != nil {
-		// Factories are opaque functions; only the nil default (the
-		// simulator) has a canonical name. Configs name transports
-		// directly, so nothing round-trips through here.
-		return Config{}, fmt.Errorf("sim: transport factories cannot be named; set Config.Transport instead")
-	}
 	return Config{
 		M:                p.M,
 		C:                p.C,
@@ -194,7 +175,6 @@ func configFromParams(p protocol.Params) (Config, error) {
 		ParallelBlockGen: p.ParallelBlockGen,
 		AggregateCerts:   p.AggregateCerts,
 		Faults:           p.Faults.Clone(),
-		Transport:        "sim",
 	}, nil
 }
 
@@ -296,21 +276,6 @@ func behaviorName(b protocol.Behavior) (string, error) {
 		}
 	}
 	return strings.Join(parts, ","), nil
-}
-
-// parseTransport resolves a transport name to an engine factory. The nil
-// factory is the deterministic simulator (protocol.NewEngine's default);
-// "live" runs real concurrent node processes over the production wire
-// codec, report-identical to the simulator for fault-free scenarios.
-func parseTransport(s string) (transport.Factory, error) {
-	switch s {
-	case "", "sim":
-		return nil, nil
-	case "live":
-		return transport.LiveFactory(wire.Codec{}), nil
-	default:
-		return nil, fmt.Errorf("sim: unknown transport %q (want sim or live)", s)
-	}
 }
 
 func parseScheme(s string) (consensus.SignatureScheme, error) {

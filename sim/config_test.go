@@ -63,6 +63,11 @@ func TestConfigRejectsUnknownFields(t *testing.T) {
 	if _, err := sim.ParseConfig([]byte(`{"comittees": 4}`)); err == nil {
 		t.Fatal("typo'd field accepted")
 	}
+	// The simulator is the only network; a document naming a transport
+	// asks for something no run can provide.
+	if _, err := sim.ParseConfig([]byte(`{"transport": "live"}`)); err == nil {
+		t.Fatal("removed transport field accepted")
+	}
 }
 
 func TestParseBehavior(t *testing.T) {

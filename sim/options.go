@@ -85,22 +85,6 @@ func WithPipeline(pipelined bool, parallelism int) Option {
 	}
 }
 
-// WithTransport selects the network the engine runs over: "sim" (the
-// deterministic simulator, the default) or "live" (real concurrent node
-// processes exchanging wire-encoded bytes over in-memory links). Live runs
-// produce reports identical to sim runs for fault-free scenarios; fault
-// models are refused at build time. Close the simulation after a live run
-// to tear the node processes down.
-func WithTransport(name string) Option {
-	return func(b *builder) error {
-		if _, err := parseTransport(name); err != nil {
-			return err
-		}
-		b.cfg.Transport = name
-		return nil
-	}
-}
-
 // WithPowHardness sets the expected hash attempts per participation
 // puzzle (0 keeps the engine default).
 func WithPowHardness(h uint64) Option {

@@ -139,9 +139,9 @@ func (s *Sim) Run(ctx context.Context) ([]*RoundReport, error) {
 // Reports returns the reports of the rounds completed so far.
 func (s *Sim) Reports() []*RoundReport { return s.eng.Reports() }
 
-// Close releases the simulation's transport. The simulator transport holds
-// no resources, but live runs keep node goroutines and links alive until
-// closed, so callers using WithTransport("live") should defer Close.
+// Close releases the simulation's transport. The simulator holds no
+// resources, so this is a no-op kept for callers that wrap the engine's
+// transport (protocol.Params.Transport) around something that does.
 func (s *Sim) Close() error { return s.eng.Close() }
 
 // Engine exposes the underlying protocol engine for uses the facade does

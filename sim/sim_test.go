@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"cycledger/internal/protocol"
+	"cycledger/internal/simnet"
+	"cycledger/internal/wire"
 	"cycledger/sim"
 )
 
@@ -16,6 +19,12 @@ import (
 // semantics: for every registered scenario, sim.New(...).Run is
 // byte-identical (under canonical JSON, which sorts all map keys) to
 // constructing protocol.NewEngine with the equivalent Params directly.
+//
+// The facade run also proves codec fidelity: it sends every message
+// through wire.RoundTrip, so each declared size must equal the codec's and
+// every handler receives a decoded copy of the encoding rather than the
+// sender's value. Fault models, adaptive adversaries and byzantine
+// behaviours included, the reports must still match the plain run.
 func TestScenarioGolden(t *testing.T) {
 	for _, scen := range sim.List() {
 		t.Run(scen.Name, func(t *testing.T) {
@@ -46,6 +55,16 @@ func TestScenarioGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var tripped atomic.Int64
+			s.Engine().Net.SetSendHook(func(m simnet.Message) any {
+				tripped.Add(1)
+				v, err := wire.RoundTrip(m)
+				if err != nil {
+					t.Error(err)
+					return m.Payload
+				}
+				return v
+			})
 			got, err := s.Run(context.Background())
 			if err != nil {
 				t.Fatal(err)
@@ -62,6 +81,10 @@ func TestScenarioGolden(t *testing.T) {
 			if string(wantJSON) != string(gotJSON) {
 				t.Errorf("facade run diverges from direct engine run\n direct: %s\n facade: %s", wantJSON, gotJSON)
 			}
+			if tripped.Load() == 0 {
+				t.Error("send hook never fired")
+			}
+			t.Logf("%d payloads round-tripped through the codec", tripped.Load())
 		})
 	}
 }

@@ -4,125 +4,84 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
-	"strings"
+	"sync/atomic"
 	"testing"
 
+	"cycledger/internal/simnet"
+	"cycledger/internal/wire"
 	"cycledger/sim"
 )
 
-// TestTransportParity is the wire/transport subsystem's payoff check: the
-// full default scenario run over the live transport — real concurrent node
-// processes exchanging codec-encoded bytes — produces RoundReports
-// identical to the deterministic simulator, Duration included (the two
-// transports share the seeded latency RNG draw-for-draw).
+// runOverCodec runs the facade built from opts twice — plain, and with
+// wire.RoundTrip as the simnet send hook, so every message crosses the
+// wire codec and each handler receives a decoded copy of the encoding —
+// and returns both runs' reports.
+func runOverCodec(t *testing.T, opts ...sim.Option) (plain, tripped []*sim.RoundReport) {
+	t.Helper()
+	run := func(hook func(simnet.Message) any) []*sim.RoundReport {
+		t.Helper()
+		s, err := sim.New(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if hook != nil {
+			s.Engine().Net.SetSendHook(hook)
+		}
+		reports, err := s.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reports
+	}
+	var n atomic.Int64
+	tripped = run(func(m simnet.Message) any {
+		n.Add(1)
+		v, err := wire.RoundTrip(m)
+		if err != nil {
+			t.Error(err)
+			return m.Payload
+		}
+		return v
+	})
+	if n.Load() == 0 {
+		t.Fatal("send hook never fired")
+	}
+	return run(nil), tripped
+}
+
+// TestTransportParity checks the full default scenario sent over the wire
+// codec produces RoundReports identical to the plain run, Duration
+// included: every message declares exactly its codec size and decodes to
+// an equal value.
 func TestTransportParity(t *testing.T) {
-	run := func(transport string) []*sim.RoundReport {
-		t.Helper()
-		s, err := sim.New(sim.WithTransport(transport))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		reports, err := s.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return reports
-	}
-	want := run("sim")
-	got := run("live")
+	want, got := runOverCodec(t)
 	if !reflect.DeepEqual(want, got) {
 		wantJSON, _ := json.Marshal(want)
 		gotJSON, _ := json.Marshal(got)
-		t.Errorf("live transport diverges from the simulator oracle\n sim:  %s\n live: %s", wantJSON, gotJSON)
+		t.Errorf("codec run diverges from the plain run\n plain: %s\n codec: %s", wantJSON, gotJSON)
 	}
 }
 
-// TestTransportParityByzantine extends the oracle check to a byzantine
+// TestTransportParityByzantine extends the codec check to a byzantine
 // population: deviating behaviours change the message mix (equivocation,
-// concealment), and every variant must still cross the live transport
-// losslessly.
+// concealment), and every variant must still cross the codec losslessly.
 func TestTransportParityByzantine(t *testing.T) {
-	run := func(transport string) []*sim.RoundReport {
-		t.Helper()
-		s, err := sim.New(small(
-			sim.WithAdversary(0.2, "equivocate,conceal", true),
-			sim.WithTransport(transport),
-		)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		reports, err := s.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return reports
-	}
-	want := run("sim")
-	got := run("live")
+	want, got := runOverCodec(t, small(sim.WithAdversary(0.2, "equivocate,conceal", true))...)
 	if !reflect.DeepEqual(want, got) {
-		t.Error("live transport diverges from the simulator under byzantine behaviours")
+		t.Error("codec run diverges from the plain run under byzantine behaviours")
 	}
 }
 
-// TestTransportParityAggregate extends the oracle check to aggregate
+// TestTransportParityAggregate extends the codec check to aggregate
 // certificates: the Agg* frames and the tree-relayed broadcasts must cross
-// the live transport's wire codec losslessly and reproduce the simulator's
-// reports exactly, Duration included.
+// the codec losslessly and reproduce the plain run's reports exactly,
+// Duration included.
 func TestTransportParityAggregate(t *testing.T) {
-	run := func(transport string) []*sim.RoundReport {
-		t.Helper()
-		s, err := sim.New(small(
-			sim.WithAggregateCerts(true),
-			sim.WithTransport(transport),
-		)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		reports, err := s.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return reports
-	}
-	want := run("sim")
-	got := run("live")
+	want, got := runOverCodec(t, small(sim.WithAggregateCerts(true))...)
 	if !reflect.DeepEqual(want, got) {
 		wantJSON, _ := json.Marshal(want)
 		gotJSON, _ := json.Marshal(got)
-		t.Errorf("live transport diverges from the simulator under aggregate certs\n sim:  %s\n live: %s", wantJSON, gotJSON)
-	}
-}
-
-// TestTransportNameValidation checks the facade's transport plumbing:
-// unknown names fail, and combining the live transport with an active
-// fault model is rejected at construction with a pointer to the simulator.
-func TestTransportNameValidation(t *testing.T) {
-	if _, err := sim.New(sim.WithTransport("carrier-pigeon")); err == nil {
-		t.Error("unknown transport name accepted")
-	}
-	if _, err := sim.Resolve(sim.WithTransport("live")); err != nil {
-		t.Errorf("live transport rejected by Resolve: %v", err)
-	}
-	_, err := sim.New(small(
-		sim.WithTransport("live"),
-		sim.WithFaults(sim.FaultsConfig{Loss: 0.1}),
-	)...)
-	if err == nil {
-		t.Fatal("live transport accepted an active fault model")
-	}
-	if !strings.Contains(err.Error(), "fault") {
-		t.Errorf("fault rejection error unhelpful: %v", err)
-	}
-	// The adaptive adversary is a fault model like any other: live runs
-	// must refuse it at construction rather than silently go fault-free.
-	_, err = sim.New(small(
-		sim.WithTransport("live"),
-		sim.WithFaults(sim.FaultsConfig{Adaptive: &sim.AdaptiveSpec{Budget: 4, CrashLeaders: true}}),
-	)...)
-	if err == nil {
-		t.Fatal("live transport accepted the adaptive adversary")
+		t.Errorf("codec run diverges from the plain run under aggregate certs\n plain: %s\n codec: %s", wantJSON, gotJSON)
 	}
 }
